@@ -50,6 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gnmodel", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -62,8 +72,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     kernel = sub.add_parser("kernel", help="evaluate the link kernel on an F grid")
-    kernel.add_argument("--f-min-hz2", type=float, required=True)
-    kernel.add_argument("--f-max-hz2", type=float, required=True)
+    kernel.add_argument("--f-min-hz2", type=_finite_float, required=True)
+    kernel.add_argument("--f-max-hz2", type=_finite_float, required=True)
     kernel.add_argument("--points", type=int, required=True)
     kernel.add_argument("--spacing", choices=("log", "linear"), default="log")
     kernel.add_argument("--method", choices=("closed-form", "quadrature"),
@@ -74,7 +84,7 @@ def _build_parser() -> _Parser:
     mc = sub.add_parser("montecarlo", help="Monte Carlo NLI PSD estimate")
     mc.add_argument("--mode", choices=("rp1", "erp1"))
     mc.add_argument("--lines", type=int, help="number of line spacings M")
-    mc.add_argument("--spacing-hz", type=float, help="line spacing f0")
+    mc.add_argument("--spacing-hz", type=_finite_float, help="line spacing f0")
     mc.add_argument("--trials", type=int)
     mc.add_argument("--seed", type=int)
 

@@ -4,7 +4,7 @@ Every physical quantity is keyed with its unit (``alpha_db_per_km``,
 ``beta2_ps2_per_km``, ``spacing_hz``...) and converted to SI on load; there
 are no positional or unit-ambiguous numerics anywhere.  Unknown keys are
 rejected.  Scientific-notation scalars may be quoted or bare ("1e9" and
-1.0e9 both parse).
+1.0e9 both parse); NaN and infinities are rejected.
 
 Sections: ``link`` (spans), ``signal`` (dual-pol PSDs + P0), ``kernel``
 (quadrature controls), ``psd`` (GN output grid), ``montecarlo``, ``moments``.
@@ -16,6 +16,7 @@ All failures raise ConfigError (CLI exit code 1).
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -58,9 +59,12 @@ def _as_float(node: dict, key: str, where: str, default=None) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{where}.{key} must be a number, got a boolean")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _as_int(node: dict, key: str, where: str, default=None) -> int:
@@ -176,7 +180,10 @@ def _parse_shape(node, where: str, base_dir: str, resolved) -> PsdShape:
         resolved[f"{where}.csv_path"] = path
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        return TabulatedPsd.from_csv(path)
+        try:
+            return TabulatedPsd.from_csv(path)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.kind must be one of rectangular, "
                       f"raised_cosine, tabulated, none; got {kind!r}")
 

@@ -17,6 +17,22 @@ aligned to the compact supports: f1 spans support(main) - f, f2 spans
 support(partner) - f, so the first two PSD factors are never sampled on a
 discontinuity and the domain truncation is exact.  |eta|^2 is taken at the
 cell-midpoint product f1*f2 through the closed-form kernel.
+
+The cell axes are built once per request, and |eta|^2 is evaluated once per
+*run* of output points rather than once per point.  Moving the output point
+by a whole number of cells on both axes only slides the (f1, f2) midpoints
+along one lattice, so consecutive grid points whose shifts from the run's
+first point are whole numbers of cells (within 1e-9 of a cell width) share
+one |eta|^2 table on that lattice, and each point sums over its n1 x n2
+slice of it.  The PSD factors are still sampled at each point's own
+coordinates f + f1, f + f2 and f + f1 + f2.  A run stops growing before its
+table would exceed twice one point's n1*n2 grid, and the table is filled in
+row blocks no larger than one point's grid, so memory stays within a small
+multiple of the per-point integrand.  A point at a fractional shift from
+the current run's first point starts a new run; a point that shares no
+lattice with a neighbour is a run of one, whose table is its own grid.
+Runs are the unit of work of the thread pool, so results do not depend on
+the thread count.
 """
 from __future__ import annotations
 
@@ -108,28 +124,84 @@ class NliPsdResult:
         return self.p0_w * self.phi_nl**2 * self.total
 
 
-def _midpoints(shape: PsdShape, f: float, step: float):
-    """Support-aligned midpoint grid for one integration axis, shifted by -f."""
+# a run's |eta|^2 table holds at most this many times one point's n1*n2 grid
+_TABLE_GROWTH = 2
+# a shift is a whole number of cells when within this fraction of a cell
+_WHOLE_CELL_TOL = 1e-9
+
+
+def _cell_axis(shape: PsdShape, step: float):
+    """Support-aligned midpoint axis: (support start, cell width, midpoint
+    offsets (i + 1/2) h from the support start)."""
     lo, hi = shape.support
     cells = max(1, int(np.ceil((hi - lo) / step)))
     h = (hi - lo) / cells
-    return (lo - f) + (np.arange(cells) + 0.5) * h, h
+    return lo, h, (np.arange(cells) + 0.5) * h
 
 
-def _double_integral(kernel, main: PsdShape, partner: PsdShape, third: PsdShape,
-                     f: float, step: float) -> float:
-    """II |eta(f1 f2)|^2 main(f+f1) partner(f+f2) third(f+f1+f2) df1 df2."""
-    if main.power_integral() <= 0 or partner.power_integral() <= 0 \
-            or third.power_integral() <= 0:
-        return 0.0
-    f1, h1 = _midpoints(main, f, step)
-    f2, h2 = _midpoints(partner, f, step)
-    a = main.evaluate(f + f1)
-    b = partner.evaluate(f + f2)
-    c = third.evaluate(f + f1[:, None] + f2[None, :])
-    eta = normalized_kernel_grid(kernel, f1[:, None] * f2[None, :])
-    weight = eta.real**2 + eta.imag**2
-    return float(h1 * h2 * np.sum(a[:, None] * b[None, :] * c * weight))
+def _whole_cells(shift: float, h: float):
+    cells = round(shift / h)
+    return cells if abs(shift / h - cells) <= _WHOLE_CELL_TOL else None
+
+
+def _runs(grid: np.ndarray, axes) -> list:
+    """Split the grid into runs of consecutive points on one cell lattice.
+
+    A point joins the current run when its shift from the run's first point
+    is a whole number of cells on both axes and the run's table, n1 plus the
+    spread of the axis-1 shifts by n2 plus the spread of the axis-2 shifts,
+    stays within _TABLE_GROWTH * n1 * n2.  Returns (indices, shifts1,
+    shifts2) per run, shifts in cells from the run's first point.
+    """
+    (_, h1, off1), (_, h2, off2) = axes
+    n1, n2 = off1.size, off2.size
+    runs = []
+    for k in range(grid.size):
+        if runs:
+            idx, s1, s2 = runs[-1]
+            shift = grid[k] - grid[idx[0]]
+            c1, c2 = _whole_cells(shift, h1), _whole_cells(shift, h2)
+            if c1 is not None and c2 is not None:
+                rows = n1 + max(max(s1), c1) - min(min(s1), c1)
+                cols = n2 + max(max(s2), c2) - min(min(s2), c2)
+                if rows * cols <= _TABLE_GROWTH * n1 * n2:
+                    idx.append(k)
+                    s1.append(c1)
+                    s2.append(c2)
+                    continue
+        runs.append(([k], [0], [0]))
+    return runs
+
+
+def _integrate_run(kernel, shapes, axes, grid, run) -> np.ndarray:
+    """II |eta(f1 f2)|^2 main(f+f1) partner(f+f2) third(f+f1+f2) df1 df2 at
+    every point f of one run, from one |eta|^2 table on the run's lattice."""
+    main, partner, third = shapes
+    (lo1, h1, off1), (lo2, h2, off2) = axes
+    idx, s1, s2 = run
+    n1, n2 = off1.size, off2.size
+    f0 = float(grid[idx[0]])
+    top1, top2 = max(s1), max(s2)
+    # lattice coordinates relative to the first point: cell (i, j) of the
+    # point shifted by (c1, c2) cells sits at (top1 - c1 + i, top2 - c2 + j)
+    lat1 = (lo1 - f0) + (np.arange(n1 + top1 - min(s1)) + 0.5 - top1) * h1
+    lat2 = (lo2 - f0) + (np.arange(n2 + top2 - min(s2)) + 0.5 - top2) * h2
+    table = np.empty((lat1.size, lat2.size))
+    block = max(1, (n1 * n2) // lat2.size)
+    for r in range(0, lat1.size, block):
+        eta = normalized_kernel_grid(kernel, lat1[r:r + block, None] * lat2[None, :])
+        table[r:r + block] = eta.real**2 + eta.imag**2
+    values = np.empty(len(idx))
+    for j, (k, c1, c2) in enumerate(zip(idx, s1, s2)):
+        f = float(grid[k])
+        f1 = (lo1 - f) + off1
+        f2 = (lo2 - f) + off2
+        a = main.evaluate(f + f1)
+        b = partner.evaluate(f + f2)
+        c = third.evaluate(f + f1[:, None] + f2[None, :])
+        weight = table[top1 - c1:top1 - c1 + n1, top2 - c2:top2 - c2 + n2]
+        values[j] = h1 * h2 * np.sum(a[:, None] * b[None, :] * c * weight)
+    return values
 
 
 def _evaluate(req: GnRequest, main_pol: str, threads: int = 1) -> NliPsdResult:
@@ -142,21 +214,27 @@ def _evaluate(req: GnRequest, main_pol: str, threads: int = 1) -> NliPsdResult:
         coeff = phase_term_coefficient(psd.py_hat, psd.px_hat)
 
     grid = req.output_grid_hz
-    step = req.inner_grid_step_hz
     spm = np.zeros(grid.size)
     xpolm = np.zeros(grid.size)
+    tasks = []
+    for out, scale, shapes in ((spm, 2.0, (g_main, g_main, g_main)),
+                               (xpolm, 1.0, (g_main, g_other, g_other))):
+        if min(shape.power_integral() for shape in shapes) <= 0:
+            continue
+        axes = tuple(_cell_axis(shape, req.inner_grid_step_hz)
+                     for shape in shapes[:2])
+        tasks += [(out, scale, shapes, axes, run) for run in _runs(grid, axes)]
 
-    def compute(i):
-        f = float(grid[i])
-        spm[i] = 2.0 * _double_integral(req.kernel, g_main, g_main, g_main, f, step)
-        xpolm[i] = _double_integral(req.kernel, g_main, g_other, g_other, f, step)
+    def compute(task):
+        out, scale, shapes, axes, run = task
+        out[run[0]] = scale * _integrate_run(req.kernel, shapes, axes, grid, run)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(compute, range(grid.size)))
+            list(pool.map(compute, tasks))
     else:
-        for i in range(grid.size):
-            compute(i)
+        for task in tasks:
+            compute(task)
 
     phase = coeff * np.asarray(g_main.evaluate(grid), dtype=float)
     return NliPsdResult(

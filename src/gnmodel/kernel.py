@@ -66,6 +66,9 @@ def _exp_ratio(z):
     """(exp(z) - 1)/z, elementwise, with a series branch near z = 0."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-2
+    if not small.any():
+        # the usual case on lossy spans; same arithmetic as the mixed branch
+        return (np.exp(z) - 1.0) / z
     zs = np.where(small, 0.0, z)
     direct = (np.exp(zs) - 1.0) / np.where(small, 1.0, zs)
     # Horner series 1 + z/2 + z^2/6 + ... + z^7/8!; next term < 3e-22 at |z|=1e-2

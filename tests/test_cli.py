@@ -163,6 +163,38 @@ class TestPsdCommand:
         np.testing.assert_allclose(total, parts, rtol=1e-12)
 
 
+class TestNonFiniteInput:
+    """NaN or infinite numbers fail closed: exit 1 and no output file."""
+
+    @pytest.mark.parametrize("old,new", [
+        ("alpha_db_per_km: 0.2", "alpha_db_per_km: .nan"),
+        ("gamma_per_w_km: 1.3", "gamma_per_w_km: .inf"),
+        ("p0_w: 1.0e-3", "p0_w: .inf"),
+        ("height: 0.5", "height: .nan"),
+    ])
+    def test_config_value_exits_1(self, tmp_path, capsys, old, new):
+        text = textwrap.dedent(CONFIG)
+        assert old in text
+        path = tmp_path / "run.yaml"
+        path.write_text(text.replace(old, new))
+        out = tmp_path / "never.csv"
+        assert run(["--config", str(path), "--output", str(out), "psd"]) == 1
+        assert not out.exists()
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--f-min-hz2", "nan", "--f-max-hz2", "1e20", "--points", "3",
+         "--spacing", "linear"],
+        ["kernel", "--f-min-hz2", "1e16", "--f-max-hz2", "inf", "--points", "3"],
+        ["montecarlo", "--spacing-hz", "-inf", "--trials", "4"],
+        ["montecarlo", "--spacing-hz", "one", "--trials", "4"],
+    ])
+    def test_float_flag_exits_1(self, config_path, tmp_path, argv):
+        out = tmp_path / "never.csv"
+        assert run(["--config", config_path, "--output", str(out)] + argv) == 1
+        assert not out.exists()
+
+
 class TestMontecarloCommand:
     def test_flags_override_config(self, config_path, tmp_path):
         out = tmp_path / "mc.csv"

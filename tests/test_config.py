@@ -174,6 +174,17 @@ class TestTabulated:
         assert gx.evaluate(0.0) == 1.5
         assert gx.evaluate(1.0e9) == pytest.approx(0.75)
 
+    def test_non_finite_value_is_a_config_error(self, tmp_path):
+        (tmp_path / "shape.csv").write_text("-2.0e9, 0.0\n0.0, nan\n2.0e9, 0.0\n")
+        text = """
+        signal:
+          p0_w: 1.0e-3
+          x: {kind: tabulated, csv_path: shape.csv}
+          y: {kind: none}
+        """
+        with pytest.raises(ConfigError, match="signal.x: .* must be finite"):
+            load_config(write(tmp_path, text))
+
 
 class TestRejections:
     def test_missing_file(self, tmp_path):
@@ -236,6 +247,38 @@ class TestRejections:
             load_config(write(tmp_path, "montecarlo:\n  num_trials: 2.5\n"))
         with pytest.raises(ConfigError, match="integer"):
             load_config(write(tmp_path, "montecarlo:\n  num_trials: true\n"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha_db_per_km", ".nan"), ("gamma_per_w_km", ".inf"),
+        ("length_km", "-.inf"), ("beta2_ps2_per_km", '"nan"')])
+    def test_non_finite_span_number_rejected(self, tmp_path, key, value):
+        span = {"length_km": "80.0", "alpha_db_per_km": "0.2",
+                "beta2_ps2_per_km": "-21.7", "gamma_per_w_km": "1.3",
+                key: value}
+        text = "link:\n  spans:\n    - {" + ", ".join(
+            f"{k}: {v}" for k, v in span.items()) + "}\n"
+        with pytest.raises(ConfigError, match=rf"spans\[0\]\.{key} must be finite"):
+            load_config(write(tmp_path, text))
+
+    def test_non_finite_signal_and_psd_numbers_rejected(self, tmp_path):
+        signal = """
+        signal:
+          p0_w: {p0}
+          x: {{kind: rectangular, bandwidth_hz: 9.0e9, height: {height}}}
+          y: {{kind: none}}
+        """
+        for p0, height, key in ((".inf", "1.0", "signal.p0_w"),
+                                ("1.0e-3", ".nan", "signal.x.height")):
+            with pytest.raises(ConfigError, match=rf"{key} must be finite"):
+                load_config(write(tmp_path, signal.format(p0=p0, height=height)))
+        with pytest.raises(ConfigError, match="inner_grid_step_hz must be finite"):
+            load_config(write(tmp_path, """
+            psd:
+              inner_grid_step_hz: .inf
+              output_min_hz: -1.0e9
+              output_max_hz: 1.0e9
+              output_points: 3
+            """))
 
     def test_signal_needs_both_polarizations(self, tmp_path):
         text = """

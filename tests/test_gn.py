@@ -7,6 +7,7 @@ import pytest
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
                      RaisedCosinePsd, RectangularPsd, Span, nli_psd_x,
                      nli_psd_y, phase_term_coefficient)
+from gnmodel.gn import _cell_axis, _runs
 from gnmodel.kernel import normalized_kernel_grid
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
@@ -106,16 +107,44 @@ class TestIndependentReassembly:
                          output_grid_hz=np.asarray(grid, dtype=float),
                          inner_grid_step_hz=self.step)
 
-    def test_x_polarization_terms(self):
-        grid = [0.0, 0.7e9, -1.3e9]
-        result = nli_psd_x(self.request(grid))
-        for i, f in enumerate(grid):
-            spm = 2.0 * brute_force_term(self.kernel, self.gx, self.gx,
-                                         self.gx, f, self.step)
-            xpolm = brute_force_term(self.kernel, self.gx, self.gy, self.gy,
-                                     f, self.step)
+    def assert_terms_match(self, result, main, other):
+        for i, f in enumerate(result.frequencies_hz):
+            spm = 2.0 * brute_force_term(self.kernel, main, main, main, f,
+                                         self.step)
+            xpolm = brute_force_term(self.kernel, main, other, other, f,
+                                     self.step)
             assert result.spm[i] == pytest.approx(spm, rel=1e-9)
             assert result.xpolm[i] == pytest.approx(xpolm, rel=1e-9)
+
+    def test_x_polarization_terms(self):
+        result = nli_psd_x(self.request([0.0, 0.7e9, -1.3e9]))
+        self.assert_terms_match(result, self.gx, self.gy)
+
+    def test_whole_cell_grid_split_into_several_runs(self):
+        # rectangles on 0.25 GHz cells (24 and 16 of them) and a grid on the
+        # same step: every shift is whole, so only the 2x table cap ends runs
+        gx = RectangularPsd(center_hz=0.5e9, bandwidth_hz=6e9, height=1.2)
+        psd = DualPolPsd(gx=gx, gy=self.gy, p0_w=2e-3)
+        grid = -3e9 + self.step * np.arange(25)
+        for shapes in ((gx, gx), (gx, self.gy)):
+            axes = [_cell_axis(shape, self.step) for shape in shapes]
+            runs = _runs(grid, axes)
+            assert len(runs) >= 3 and all(len(idx) > 1 for idx, _, _ in runs)
+        result = nli_psd_x(GnRequest(psd=psd, kernel=self.kernel,
+                                     output_grid_hz=grid,
+                                     inner_grid_step_hz=self.step))
+        self.assert_terms_match(result, gx, self.gy)
+
+    def test_mixed_whole_cell_and_fractional_shifts(self):
+        # on the y rectangle's 0.25 GHz cells, the first run descends (negative
+        # shifts), 0.13 GHz breaks it and starts a second; the raised cosine's
+        # 0.24375 GHz cells share no lattice with this grid, so its terms run
+        # point by point
+        grid = np.array([0.0, -0.5e9, -1.0e9, 0.13e9, 0.38e9, 0.63e9, 1.0e9])
+        runs = _runs(grid, [_cell_axis(self.gy, self.step)] * 2)
+        assert [idx for idx, _, _ in runs] == [[0, 1, 2], [3, 4, 5], [6]]
+        self.assert_terms_match(nli_psd_y(self.request(grid)), self.gy, self.gx)
+        self.assert_terms_match(nli_psd_x(self.request(grid)), self.gx, self.gy)
 
     def test_y_polarization_terms(self):
         grid = [0.4e9]
