@@ -6,7 +6,7 @@ the estimated NLI PSDs against the GN prediction with and without the
 phase-rotation term.  The paired per-trial difference isolates the phase
 term itself.
 
-Run:  python3 demos/demo_montecarlo.py     (about 10 s)
+Run:  python3 demos/demo_montecarlo.py     (about a second)
 """
 import math
 
@@ -32,7 +32,7 @@ def main():
           f"{cfg.spacing_hz / 1e9:.1f} GHz, {cfg.num_trials} trials, "
           f"seed {cfg.seed}")
 
-    paired = run_paired_trials(cfg, psd, model, threads=2)
+    paired = run_paired_trials(cfg, psd, model)
     request = GnRequest(psd=psd, kernel=model,
                         output_grid_hz=cfg.frequencies_hz,
                         inner_grid_step_hz=cfg.spacing_hz / 8.0,

@@ -68,7 +68,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--output", required=True,
                         help="output file (written atomically)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; never affects results")
+                        help="worker count of the GN integral and the moment "
+                             "checks; never affects results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     kernel = sub.add_parser("kernel", help="evaluate the link kernel on an F grid")
@@ -202,8 +203,7 @@ def _run_montecarlo(args, cfg: RunConfig):
                             num_trials=params["num_trials"],
                             seed=params["seed"], mode=params["mode"],
                             edge_margin=params["edge_margin"])
-    estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x",
-                                threads=max(1, args.threads))
+    estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
 
     # continuum GN prediction on the same grid; the phase term belongs to the
     # RP1 PSD only and cancels in DP-ERP1

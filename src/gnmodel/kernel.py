@@ -80,7 +80,7 @@ def _exp_ratio(z):
 
 @dataclass
 class KernelModel:
-    """Kernel evaluator for one link, with a memoized K(0) and eta cache.
+    """Kernel evaluator for one link, with a memoized K(0).
 
     ``k0`` is K(0) in 1/W, real and positive for any physical link; it is the
     normalizer of eta and, scaled by P0, the cumulated nonlinear phase.
@@ -102,7 +102,6 @@ class KernelModel:
         self._length = np.array([s.length_m for s in spans])
         self._g0 = self.link.start_gain
         self._c0 = self.link.start_dispersion_s2
-        self._eta_cache: dict[float, complex] = {}
         self.k0 = complex(kernel_closed_form(self, 0.0))
 
 
@@ -123,25 +122,27 @@ def kernel_closed_form(model: KernelModel, F):
     return complex(out) if np.ndim(F) == 0 else out
 
 
-def _simpson_span(model, span_index, theta, cells):
-    """Composite Simpson over one span of the profile-defined integrand.
+def _span_integrand(model, span_index, theta, s):
+    """gamma' G(s) exp(-j theta C(s)) at span-local positions s.
 
-    Integrates the one-sided restriction of the profiles to the span,
+    Uses the one-sided restriction of the profiles to the span,
     G(s) = G_i exp(-alpha_i s) and C(s) = C_i - beta2_i s in span-local s:
     the profile functions agree with it at every interior point (a tested
     invariant), but at the right endpoint the restriction takes the
     within-span limit instead of the next span's post-lumped-gain value,
     which a pointwise profile lookup would return.
     """
-    length = model._length[span_index]
-    h = length / cells
-    edges = np.linspace(0.0, length, cells + 1)
-    nodes = np.concatenate((edges, edges[:-1] + 0.5 * h))
-    g = model._g0[span_index] * np.exp(-model._alpha[span_index] * nodes)
-    c = model._c0[span_index] - model._beta2[span_index] * nodes
-    f = model._gamma_eff[span_index] * g * np.exp(-1j * theta * c)
-    fe, fm = f[: cells + 1], f[cells + 1:]
-    return h / 6.0 * (fe[0] + fe[-1] + 2.0 * np.sum(fe[1:-1]) + 4.0 * np.sum(fm))
+    g = model._g0[span_index] * np.exp(-model._alpha[span_index] * s)
+    c = model._c0[span_index] - model._beta2[span_index] * s
+    return model._gamma_eff[span_index] * g * np.exp(-1j * theta * c)
+
+
+def _midpoint_sums(model, theta, cells):
+    """Per span, the integrand summed over the midpoints of its cells."""
+    return np.array([
+        np.sum(_span_integrand(model, i, theta,
+                               (np.arange(n) + 0.5) * (model._length[i] / n)))
+        for i, n in enumerate(cells)])
 
 
 def kernel_quadrature(model: KernelModel, F: float) -> complex:
@@ -152,6 +153,10 @@ def kernel_quadrature(model: KernelModel, F: float) -> complex:
     the total changes by less than ``quadrature_tolerance`` relative.  Raises
     ``KernelConvergenceError`` (carrying the best estimate) if a span would
     exceed ``max_cells_per_span``.
+
+    Each span keeps running sums of the integrand at its two ends, its
+    interior cell edges and its cell midpoints.  Doubling turns the
+    midpoints into edges, so a refinement evaluates only the new midpoints.
     """
     theta = PHASE_RATE * float(F)
     max_phase = np.pi / 8.0
@@ -166,7 +171,21 @@ def kernel_quadrature(model: KernelModel, F: float) -> complex:
             estimate=None,
             achieved_rel=math.inf,
         )
-    value = sum(_simpson_span(model, i, theta, int(n)) for i, n in enumerate(cells))
+    spans = range(len(cells))
+    ends = np.array([
+        np.sum(_span_integrand(model, i, theta, np.array([0.0, model._length[i]])))
+        for i in spans])
+    inner = np.array([
+        np.sum(_span_integrand(model, i, theta,
+                               np.arange(1, n) * (model._length[i] / n)))
+        for i, n in enumerate(cells)])
+    mids = _midpoint_sums(model, theta, cells)
+
+    def simpson():
+        h = model._length / cells
+        return np.sum(h / 6.0 * (ends + 2.0 * inner + 4.0 * mids))
+
+    value = simpson()
     rel = math.inf
     while True:
         cells = cells * 2
@@ -177,7 +196,9 @@ def kernel_quadrature(model: KernelModel, F: float) -> complex:
                 estimate=value,
                 achieved_rel=rel,
             )
-        refined = sum(_simpson_span(model, i, theta, int(n)) for i, n in enumerate(cells))
+        inner = inner + mids
+        mids = _midpoint_sums(model, theta, cells)
+        refined = simpson()
         rel = abs(refined - value) / max(abs(refined), 1e-300)
         value = refined
         if rel <= model.quadrature_tolerance:
@@ -185,17 +206,11 @@ def kernel_quadrature(model: KernelModel, F: float) -> complex:
 
 
 def normalized_kernel(model: KernelModel, F: float) -> complex:
-    """eta(F) = K(F)/K(0) via the closed form, memoized per model.
+    """eta(F) = K(F)/K(0) via the closed form, for a scalar F.
 
     eta(0) == 1 exactly: numerator and denominator are the same evaluation.
     """
-    key = float(F)
-    hit = model._eta_cache.get(key)
-    if hit is None:
-        # idempotent insert: concurrent writers store the identical pure value
-        hit = kernel_closed_form(model, key) / model.k0
-        model._eta_cache[key] = hit
-    return hit
+    return kernel_closed_form(model, float(F)) / model.k0
 
 
 def normalized_kernel_grid(model: KernelModel, F):

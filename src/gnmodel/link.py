@@ -46,6 +46,12 @@ class Span:
     lumped_gain_db: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("length", self.length_m), ("alpha", self.alpha_per_m),
+                            ("beta2", self.beta2_s2_per_m),
+                            ("gamma", self.gamma_per_w_m),
+                            ("lumped gain", self.lumped_gain_db)):
+            if not math.isfinite(value):
+                raise ValueError(f"span {name} must be finite, got {value}")
         if not self.length_m > 0:
             raise ValueError(f"span length must be > 0 m, got {self.length_m}")
         if self.alpha_per_m < 0:

@@ -26,11 +26,31 @@ The P_T coefficient of the ERP1 subtraction uses the *discrete* grid powers
 f0 * sum_k Ghat(k f0): on the grid, E[sum * conj(X_k)] equals exactly
 P_T_discrete * E|X_k|^2, so this choice cancels the phase term exactly at
 finite f0 instead of only asymptotically.
+
+Engine: with i = k+n, the double sum B over a block of trials (rows)
+regroups per line shift m as
+
+    B[:, k] = sum_m X[:, k+m] * (D_m @ W_m)[:, k],
+    D_m[:, i] = conj(X[:, i+m]) X[:, i] + conj(Y[:, i+m]) Y[:, i],
+    W_m[i, k] = f0^2 eta(m (i-k) f0^2)   (Toeplitz),
+
+one small GEMM per shift, carrying SPM and XPolM in one operand.  Every
+product is restricted to the PSD supports, and eta is evaluated once per
+request on the integer products m (i-k) the blocks use.  BLAS does any
+parallel work.
+
+Result contract: the per-trial values depend on the shape of the arrays they
+are computed in, because NumPy's complex products and the GEMM round
+differently by row count.  Trials are therefore always processed in fixed
+chunks of 256 (``_CHUNK_TRIALS``, the last one shorter), and that chunk shape
+is part of the result: changing it moves last bits.  The BLAS pool size
+does not: OpenBLAS splits a GEMM between threads by rows and columns, not
+along the summed index, and a test checks that pools of 1 and 2 give
+identical bits.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +79,8 @@ __all__ = [
 MODE_RP1 = "rp1"
 MODE_DP_ERP1 = "erp1"
 
-# trials per work unit; fixed (never derived from the worker count) so that
-# chunking cannot influence any result
+# trials per block; part of the result contract (see the module docstring),
+# so never derived from a thread count or the input size
 _CHUNK_TRIALS = 256
 
 
@@ -80,8 +100,9 @@ class TrialConfig:
     edge_margin: float = 0.1
 
     def __post_init__(self):
-        if not self.spacing_hz > 0:
-            raise ConfigError(f"line spacing must be > 0 Hz, got {self.spacing_hz}")
+        if not (self.spacing_hz > 0 and math.isfinite(self.spacing_hz)):
+            raise ConfigError(f"line spacing must be finite and > 0 Hz, "
+                              f"got {self.spacing_hz}")
         if self.num_lines < 8 or self.num_lines % 2:
             raise ConfigError(f"num_lines must be even and >= 8, got {self.num_lines}")
         if self.num_trials < 1:
@@ -202,72 +223,61 @@ def _support_bounds(cfg: TrialConfig, shape: PsdShape):
     return int(nz[0]), int(nz[-1])
 
 
-def _pair_plans(cfg, kernel, count, main_bounds, other_bounds):
-    """Slice plans for the double sum of one output polarization.
+def _shift_sums(cfg, psd, kernel, polarization):
+    """Support-restricted ranges of the per-shift products, and the kernel.
 
-    Each plan entry (j0, j1, m, n, w) contributes, for every output array
-    index j in [j0, j1):  w * main[j+m] * conj(other_or_main[j+m+n]) *
-    other_or_main[j+n], with w = f0^2 * eta(m n f0^2).  The k ranges are cut
-    so that every parent index lies inside its PSD support (indices outside
-    carry zero lines and are skipped, not truncated).
+    Returns ``(shifts, table, offset)``.  Each entry (m, i0, i1, j0, j1) of
+    ``shifts`` keeps rows i in [i0, i1), where i and i+m both lie in one
+    support (main for SPM, partner for XPolM; the hull of the two), and
+    output columns j in [j0, j1), where the first parent j+m lies in the main
+    support: every skipped term has a line outside its support, which is
+    exactly zero.  ``table[p + offset]`` holds f0^2 eta(p f0^2) at every
+    integer product p = m (i - j) that the kept blocks use, evaluated once.
     """
-    f0 = cfg.spacing_hz
-
-    def enumerate_plans(b1, b2, b3):
-        # parent1 = j+m in b1 (main), parent2 = j+m+n in b2 (conjugated),
-        # parent3 = j+n in b3
-        plans = []
-        for m in range(b2[0] - b3[1], b2[1] - b3[0] + 1):
-            for n in range(b2[0] - b1[1], b2[1] - b1[0] + 1):
-                j0 = max(0, b1[0] - m, b2[0] - m - n, b3[0] - n)
-                j1 = min(count - 1, b1[1] - m, b2[1] - m - n, b3[1] - n)
-                if j0 <= j1:
-                    plans.append((j0, j1 + 1, m, n))
-        return plans
-
-    spm = enumerate_plans(main_bounds, main_bounds, main_bounds) \
-        if main_bounds else []
-    xpol = enumerate_plans(main_bounds, other_bounds, other_bounds) \
-        if (main_bounds and other_bounds) else []
-
-    def weighted(plans):
-        if not plans:
-            return []
-        mn = np.array([[p[2], p[3]] for p in plans], dtype=float)
-        eta = normalized_kernel_grid(kernel, mn[:, 0] * mn[:, 1] * f0 * f0)
-        w = f0 * f0 * eta
-        return [(j0, j1, m, n, w[i]) for i, (j0, j1, m, n) in enumerate(plans)]
-
-    return weighted(spm), weighted(xpol)
-
-
-def _perturbation_rows(main, other, plans):
-    """Batched double sum over (m, n) for a block of trials.
-
-    ``main``/``other`` are (trials, lines) matrices of the output and partner
-    polarization; rows are independent, and the accumulation order is the
-    fixed plan order, so results do not depend on chunking or thread count.
-    """
-    spm_plans, xpol_plans = plans
-    out = np.zeros_like(main)
-    for j0, j1, m, n, w in spm_plans:
-        out[:, j0:j1] += w * (main[:, j0 + m:j1 + m]
-                              * np.conj(main[:, j0 + m + n:j1 + m + n])
-                              * main[:, j0 + n:j1 + n])
-    for j0, j1, m, n, w in xpol_plans:
-        out[:, j0:j1] += w * (main[:, j0 + m:j1 + m]
-                              * np.conj(other[:, j0 + m + n:j1 + m + n])
-                              * other[:, j0 + n:j1 + n])
-    return out
-
-
-def _plans_for(cfg, psd, kernel, polarization):
     count = cfg.grid_indices.size
     bx = _support_bounds(cfg, psd.gx)
     by = _support_bounds(cfg, psd.gy)
-    if polarization == "x":
-        return _pair_plans(cfg, kernel, count, bx, by)
-    return _pair_plans(cfg, kernel, count, by, bx)
+    main, other = (bx, by) if polarization == "x" else (by, bx)
+    if main is None:
+        return [], None, 0
+    supports = [b for b in (main, other) if b is not None]
+    reach = max(hi - lo for lo, hi in supports)
+    shifts = []
+    for m in range(-reach, reach + 1):
+        rows = [(max(lo, lo - m), min(hi, hi - m)) for lo, hi in supports]
+        rows = [(lo, hi) for lo, hi in rows if lo <= hi]
+        j0, j1 = max(0, main[0] - m), min(count - 1, main[1] - m)
+        if rows and j0 <= j1:
+            shifts.append((m, min(lo for lo, _ in rows),
+                           max(hi for _, hi in rows) + 1, j0, j1 + 1))
+    # block (m, i0, i1, j0, j1) holds every i - j in (i0 - j1, i1 - j0)
+    products = np.unique(np.concatenate([
+        m * np.arange(i0 - j1 + 1, i1 - j0) for m, i0, i1, j0, j1 in shifts]))
+    offset = int(np.abs(products).max())
+    f0 = cfg.spacing_hz
+    table = np.zeros(2 * offset + 1, dtype=complex)
+    table[products + offset] = f0 * f0 * normalized_kernel_grid(
+        kernel, products * f0 * f0)
+    return shifts, table, offset
+
+
+def _perturbation_rows(main, other, sums):
+    """Batched double sum for a block of trials, one GEMM per line shift m.
+
+    ``main``/``other`` are (trials, lines) matrices of the output and partner
+    polarization; ``sums`` comes from ``_shift_sums``.  Per shift, D_m (SPM
+    and XPolM in one operand) meets the Toeplitz W_m sliced from the kernel
+    table, and the product is weighted by the first parent main[:, j+m].
+    """
+    shifts, table, offset = sums
+    out = np.zeros_like(main)
+    for m, i0, i1, j0, j1 in shifts:
+        d = (np.conj(main[:, i0 + m:i1 + m]) * main[:, i0:i1]
+             + np.conj(other[:, i0 + m:i1 + m]) * other[:, i0:i1])
+        w = table[m * np.subtract.outer(np.arange(i0, i1), np.arange(j0, j1))
+                  + offset]
+        out[:, j0:j1] += main[:, j0 + m:j1 + m] * (d @ w)
+    return out
 
 
 def discrete_powers(cfg: TrialConfig, psd: DualPolPsd) -> tuple[float, float]:
@@ -286,9 +296,9 @@ def rp1_perturbation(field: SpectralField, kernel: KernelModel,
     """First-order perturbation field -j Phi_NL * (double sum), both pols."""
     phi = _phi_nl(psd, kernel)
     bx = _perturbation_rows(field.lines_x[None, :], field.lines_y[None, :],
-                            _plans_for(cfg, psd, kernel, "x"))[0]
+                            _shift_sums(cfg, psd, kernel, "x"))[0]
     by = _perturbation_rows(field.lines_y[None, :], field.lines_x[None, :],
-                            _plans_for(cfg, psd, kernel, "y"))[0]
+                            _shift_sums(cfg, psd, kernel, "y"))[0]
     return SpectralField(cfg.spacing_hz, -1j * phi * bx, -1j * phi * by)
 
 
@@ -303,9 +313,9 @@ def erp1_perturbation(field: SpectralField, kernel: KernelModel,
     phi = _phi_nl(psd, kernel)
     px_d, py_d = discrete_powers(cfg, psd)
     bx = _perturbation_rows(field.lines_x[None, :], field.lines_y[None, :],
-                            _plans_for(cfg, psd, kernel, "x"))[0]
+                            _shift_sums(cfg, psd, kernel, "x"))[0]
     by = _perturbation_rows(field.lines_y[None, :], field.lines_x[None, :],
-                            _plans_for(cfg, psd, kernel, "y"))[0]
+                            _shift_sums(cfg, psd, kernel, "y"))[0]
     return SpectralField(
         cfg.spacing_hz,
         -1j * phi * (bx - (2.0 * px_d + py_d) * field.lines_x),
@@ -313,7 +323,7 @@ def erp1_perturbation(field: SpectralField, kernel: KernelModel,
     )
 
 
-def _per_trial_values(cfg, psd, kernel, polarization, threads):
+def _per_trial_values(cfg, psd, kernel, polarization):
     """Per-trial estimator samples f0*|B|^2 and f0*|B - P_T a|^2, (T, K).
 
     Streams are keyed by *role* (main polarization = tag 0, partner = tag 1),
@@ -332,7 +342,7 @@ def _per_trial_values(cfg, psd, kernel, polarization, threads):
         main_amps = _line_amplitudes(cfg, psd.gy)
         other_amps = _line_amplitudes(cfg, psd.gx)
         pt_weights = (1.0, 2.0)
-    plans = _plans_for(cfg, psd, kernel, polarization)
+    sums = _shift_sums(cfg, psd, kernel, polarization)
     px_d, py_d = discrete_powers(cfg, psd)
     pt_d = pt_weights[0] * px_d + pt_weights[1] * py_d
 
@@ -341,22 +351,14 @@ def _per_trial_values(cfg, psd, kernel, polarization, threads):
     v_rp1 = np.empty((trials, count))
     v_erp1 = np.empty((trials, count))
 
-    def work(t0):
+    for t0 in range(0, trials, _CHUNK_TRIALS):
         t1 = min(t0 + _CHUNK_TRIALS, trials)
         main = _draw_rows(cfg, main_amps, POL_X, t0, t1)
         other = _draw_rows(cfg, other_amps, POL_Y, t0, t1)
-        b = _perturbation_rows(main, other, plans)
+        b = _perturbation_rows(main, other, sums)
         v_rp1[t0:t1] = f0 * (b.real**2 + b.imag**2)
         e = b - pt_d * main
         v_erp1[t0:t1] = f0 * (e.real**2 + e.imag**2)
-
-    starts = range(0, trials, _CHUNK_TRIALS)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for t0 in starts:
-            work(t0)
     return v_rp1, v_erp1
 
 
@@ -372,22 +374,22 @@ def _reduce(cfg: TrialConfig, values: np.ndarray) -> PsdEstimate:
 
 
 def estimate_nli_psd(cfg: TrialConfig, psd: DualPolPsd, kernel: KernelModel,
-                     polarization: str = "x", threads: int = 1) -> PsdEstimate:
+                     polarization: str = "x") -> PsdEstimate:
     """Monte Carlo estimate of the normalized NLI PSD in the configured mode.
 
-    Deterministic for a given (seed, cfg): trial chunking is fixed and the
-    reduction runs once over the assembled per-trial matrix, so the worker
-    count cannot change any output bit.
+    Deterministic for a given (seed, cfg): the 256-trial chunks are fixed
+    and the reduction runs once over the assembled per-trial matrix (see the
+    module docstring for why the chunk shape is part of the result).
     """
-    v_rp1, v_erp1 = _per_trial_values(cfg, psd, kernel, polarization, threads)
+    v_rp1, v_erp1 = _per_trial_values(cfg, psd, kernel, polarization)
     values = v_rp1 if cfg.mode == MODE_RP1 else v_erp1
     return _reduce(cfg, values)
 
 
 def run_paired_trials(cfg: TrialConfig, psd: DualPolPsd, kernel: KernelModel,
-                      polarization: str = "x", threads: int = 1) -> PairedEstimates:
+                      polarization: str = "x") -> PairedEstimates:
     """Both estimators from the same draws, plus their paired difference."""
-    v_rp1, v_erp1 = _per_trial_values(cfg, psd, kernel, polarization, threads)
+    v_rp1, v_erp1 = _per_trial_values(cfg, psd, kernel, polarization)
     return PairedEstimates(
         rp1=_reduce(cfg, v_rp1),
         erp1=_reduce(cfg, v_erp1),

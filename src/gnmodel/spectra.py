@@ -7,6 +7,7 @@ exactly instead of to a tolerance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,13 @@ def _scalar_like(template, values):
     return float(values) if np.ndim(template) == 0 else values
 
 
+def _require_finite(shape):
+    for name in ("center_hz", "bandwidth_hz", "height"):
+        value = getattr(shape, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RectangularPsd(PsdShape):
     """Flat-top PSD: ``height`` for |f - center| < bandwidth/2, else 0."""
@@ -52,6 +60,7 @@ class RectangularPsd(PsdShape):
     height: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.bandwidth_hz > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
         if self.height < 0:
@@ -86,6 +95,7 @@ class RaisedCosinePsd(PsdShape):
     height: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.bandwidth_hz > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
         if not 0.0 <= self.rolloff <= 1.0:
@@ -182,8 +192,8 @@ class DualPolPsd:
     p0_w: float
 
     def __post_init__(self):
-        if not self.p0_w > 0:
-            raise ValueError(f"p0 must be > 0 W, got {self.p0_w}")
+        if not (self.p0_w > 0 and math.isfinite(self.p0_w)):
+            raise ValueError(f"p0 must be finite and > 0 W, got {self.p0_w}")
 
     @property
     def px_hat(self) -> float:

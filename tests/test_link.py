@@ -23,13 +23,20 @@ def two_span_link():
 
 class TestSpan:
     def test_rejects_nonpositive_length(self):
-        with pytest.raises(ValueError, match="length"):
-            Span(length_m=0.0, alpha_per_m=ALPHA, beta2_s2_per_m=0.0,
-                 gamma_per_w_m=1e-3)
+        for length in (0.0, math.inf):
+            with pytest.raises(ValueError, match="length"):
+                Span(length_m=length, alpha_per_m=ALPHA, beta2_s2_per_m=0.0,
+                     gamma_per_w_m=1e-3)
 
     def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            Span(length_m=1e3, alpha_per_m=-1e-5, beta2_s2_per_m=0.0,
+        for alpha in (-1e-5, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                Span(length_m=1e3, alpha_per_m=alpha, beta2_s2_per_m=0.0,
+                     gamma_per_w_m=1e-3)
+
+    def test_rejects_non_finite_beta2(self):
+        with pytest.raises(ValueError, match="beta2"):
+            Span(length_m=1e3, alpha_per_m=ALPHA, beta2_s2_per_m=math.nan,
                  gamma_per_w_m=1e-3)
 
     def test_rejects_negative_gamma(self):

@@ -2,14 +2,19 @@
 
 The perturbation map is checked against a literal triple loop over parent
 line indices written straight from the discrete RP1 formula, with scalar
-kernel lookups and a different summation order than the library's sliced
-implementation.
+kernel lookups and a different summation order than the library's
+per-shift GEMMs.
 """
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import gnmodel
 from gnmodel import (ConfigError, DualPolPsd, KernelModel, LinkProfile,
                      RaisedCosinePsd, RectangularPsd, Span, SpectralField,
                      TrialConfig, discrete_powers, draw_field,
@@ -18,6 +23,24 @@ from gnmodel import (ConfigError, DualPolPsd, KernelModel, LinkProfile,
                      validate_grid_coverage)
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
+
+# one paired run in a fresh interpreter, whose BLAS pool size is set by the
+# environment; saves the six estimate arrays to argv[1]
+BLAS_POOL_SCRIPT = textwrap.dedent(f"""
+    import sys
+    import numpy as np
+    from gnmodel import (DualPolPsd, KernelModel, LinkProfile,
+                         RectangularPsd, Span, TrialConfig, run_paired_trials)
+    span = Span(length_m=80e3, alpha_per_m={ALPHA!r},
+                beta2_s2_per_m=-21.7e-27, gamma_per_w_m=1.3e-3)
+    kernel = KernelModel(link=LinkProfile(spans=(span,)))
+    psd = DualPolPsd(RectangularPsd(0.0, 41e9, 1.0),
+                     RectangularPsd(1e9, 30e9, 0.5), 1e-3)
+    cfg = TrialConfig(spacing_hz=1e9, num_lines=64, num_trials=600, seed=5)
+    p = run_paired_trials(cfg, psd, kernel)
+    np.savez(sys.argv[1], *[getattr(e, a) for e in (p.rp1, p.erp1, p.difference)
+                            for a in ("mean", "stderr")])
+""")
 
 
 def span_kernel():
@@ -33,8 +56,9 @@ def zero_shape():
 class TestTrialConfig:
     def test_rejects_bad_parameters(self):
         good = dict(spacing_hz=1e9, num_lines=16, num_trials=10, seed=1)
-        with pytest.raises(ConfigError, match="spacing"):
-            TrialConfig(**{**good, "spacing_hz": 0.0})
+        for spacing in (0.0, math.inf):
+            with pytest.raises(ConfigError, match="spacing"):
+                TrialConfig(**{**good, "spacing_hz": spacing})
         with pytest.raises(ConfigError, match="even"):
             TrialConfig(**{**good, "num_lines": 15})
         with pytest.raises(ConfigError, match="even"):
@@ -268,14 +292,26 @@ class TestEstimator:
             cfg, DualPolPsd(RectangularPsd(0.0, 32e9 / 3.0, 1.0),
                             zero_shape(), 1e-3))
 
-    def test_thread_count_cannot_change_results(self):
-        cfg = self.cfg(num_trials=600)
-        one = run_paired_trials(cfg, self.psd, self.kernel, threads=1)
-        four = run_paired_trials(cfg, self.psd, self.kernel, threads=4)
-        for a, b in ((one.rp1, four.rp1), (one.erp1, four.erp1),
-                     (one.difference, four.difference)):
-            np.testing.assert_array_equal(a.mean, b.mean)
-            np.testing.assert_array_equal(a.stderr, b.stderr)
+    def test_thread_count_cannot_change_results(self, tmp_path):
+        # the per-shift GEMMs run on the BLAS pool: a pool of 1 and of 2 must
+        # give the same bits.  The 41-line X support makes the full 256-trial
+        # chunks large enough for OpenBLAS to split them across threads.
+        src = os.path.dirname(os.path.dirname(gnmodel.__file__))
+        results = []
+        for pool in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": pool,
+                   "OMP_NUM_THREADS": pool,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            out = tmp_path / f"blas{pool}.npz"
+            subprocess.run([sys.executable, "-c", BLAS_POOL_SCRIPT, str(out)],
+                           env=env, check=True, timeout=120)
+            with np.load(out) as arrays:
+                results.append([arrays[k] for k in sorted(arrays.files)])
+        one, two = results
+        assert len(one) == 6
+        for a, b in zip(one, two):
+            np.testing.assert_array_equal(a, b)
 
     def test_polarization_swap_is_exact(self):
         cfg = self.cfg(num_trials=64)

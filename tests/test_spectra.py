@@ -1,4 +1,6 @@
 """PSD shapes: evaluation, supports, exact power integrals, CSV loading."""
+import math
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,14 @@ class TestRectangular:
         assert shape.support == (-3e9, 7e9)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="bandwidth"):
-            RectangularPsd(center_hz=0.0, bandwidth_hz=0.0, height=1.0)
-        with pytest.raises(ValueError, match="height"):
-            RectangularPsd(center_hz=0.0, bandwidth_hz=1.0, height=-1.0)
+        for bandwidth in (0.0, math.inf):
+            with pytest.raises(ValueError, match="bandwidth"):
+                RectangularPsd(center_hz=0.0, bandwidth_hz=bandwidth, height=1.0)
+        for height in (-1.0, math.inf):
+            with pytest.raises(ValueError, match="height"):
+                RectangularPsd(center_hz=0.0, bandwidth_hz=1.0, height=height)
+        with pytest.raises(ValueError, match="center"):
+            RectangularPsd(center_hz=math.nan, bandwidth_hz=1.0, height=1.0)
 
     def test_zero_height_is_a_valid_empty_shape(self):
         shape = RectangularPsd(center_hz=0.0, bandwidth_hz=1.0, height=0.0)
@@ -63,6 +69,12 @@ class TestRaisedCosine:
         with pytest.raises(ValueError, match="rolloff"):
             RaisedCosinePsd(center_hz=0.0, bandwidth_hz=1.0, rolloff=1.5,
                             height=1.0)
+        for name, bad in (("bandwidth", {"bandwidth_hz": math.inf}),
+                          ("center", {"center_hz": math.nan}),
+                          ("height", {"height": math.inf})):
+            with pytest.raises(ValueError, match=name):
+                RaisedCosinePsd(**{"center_hz": 0.0, "bandwidth_hz": 1.0,
+                                   "rolloff": 0.2, "height": 1.0, **bad})
 
 
 class TestTabulated:
@@ -129,6 +141,7 @@ class TestDualPol:
         assert sw.pt_hat_x == psd.pt_hat_y
 
     def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError, match="p0"):
-            DualPolPsd(gx=RectangularPsd(0.0, 1.0, 1.0),
-                       gy=RectangularPsd(0.0, 1.0, 1.0), p0_w=0.0)
+        for p0 in (0.0, math.inf):
+            with pytest.raises(ValueError, match="p0"):
+                DualPolPsd(gx=RectangularPsd(0.0, 1.0, 1.0),
+                           gy=RectangularPsd(0.0, 1.0, 1.0), p0_w=p0)
