@@ -25,7 +25,7 @@ from .montecarlo import (MODE_DP_ERP1, MODE_RP1, PairedEstimates, PsdEstimate,
                          in_band_mask, rp1_perturbation, run_paired_trials,
                          validate_grid_coverage)
 from .spectra import (DualPolPsd, PsdShape, RaisedCosinePsd, RectangularPsd,
-                      TabulatedPsd)
+                      TabulatedPsd, phase_rotation_weight)
 from .version import __version__
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "ConfigError",
     "Span", "LinkProfile", "power_gain", "cumulated_dispersion",
     "PsdShape", "RectangularPsd", "RaisedCosinePsd", "TabulatedPsd",
-    "DualPolPsd",
+    "DualPolPsd", "phase_rotation_weight",
     "KernelModel", "KernelConvergenceError", "NonlinearPhase",
     "kernel_closed_form", "kernel_quadrature", "normalized_kernel",
     "normalized_kernel_grid", "nonlinear_phase",

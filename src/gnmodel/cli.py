@@ -35,8 +35,9 @@ from .errors import ConfigError
 from .gn import GnRequest, nli_psd_x
 from .kernel import (KernelConvergenceError, KernelModel, kernel_closed_form,
                      kernel_quadrature)
-from .moments import (StationaryProcessSet, theorem1_discrete_check,
-                      theorem2_check, theorem3_discrete_check)
+from .moments import (StationaryProcessSet, abs_z_score,
+                      theorem1_discrete_check, theorem2_check,
+                      theorem3_discrete_check)
 from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
 from .version import __version__
 
@@ -84,9 +85,10 @@ def _build_parser() -> _Parser:
 
     mc = sub.add_parser("montecarlo", help="Monte Carlo NLI PSD estimate")
     mc.add_argument("--mode", choices=("rp1", "erp1"))
-    mc.add_argument("--lines", type=int, help="number of line spacings M")
+    mc.add_argument("--lines", type=int, dest="num_lines",
+                    help="number of line spacings M")
     mc.add_argument("--spacing-hz", type=_finite_float, help="line spacing f0")
-    mc.add_argument("--trials", type=int)
+    mc.add_argument("--trials", type=int, dest="num_trials")
     mc.add_argument("--seed", type=int)
 
     mom = sub.add_parser("moments", help="moment-theorem statistical checks")
@@ -125,6 +127,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _merge_flags(args, cfg: RunConfig, section: str):
+    """A section's parameters with every set flag applied (each flag's dest
+    is its config key), and the resolved map updated to match."""
+    params = dict(getattr(cfg, section))
+    for key in params:
+        value = getattr(args, key, None)
+        if value is not None:
+            params[key] = value
+    resolved = dict(cfg.resolved)
+    resolved.update({f"{section}.{key}": value for key, value in params.items()})
+    return params, resolved
+
+
 def _kernel_model(cfg: RunConfig) -> KernelModel:
     return KernelModel(link=cfg.require_link(),
                        quadrature_tolerance=cfg.kernel_tolerance,
@@ -154,11 +169,8 @@ def _run_kernel(args, cfg: RunConfig):
     eta = k_values / k0
 
     resolved = dict(cfg.resolved)
-    resolved.update({"cli.f_min_hz2": args.f_min_hz2,
-                     "cli.f_max_hz2": args.f_max_hz2,
-                     "cli.points": args.points,
-                     "cli.spacing": args.spacing,
-                     "cli.method": args.method})
+    resolved.update({f"cli.{key}": getattr(args, key) for key in
+                     ("f_min_hz2", "f_max_hz2", "points", "spacing", "method")})
     lines = _header_lines("kernel", resolved)
     lines.append("F_Hz2,re_K,im_K,re_eta,im_eta,abs_eta")
     for f, k, e in zip(grid, k_values, eta):
@@ -167,17 +179,22 @@ def _run_kernel(args, cfg: RunConfig):
     return "\n".join(lines) + "\n", True
 
 
-def _run_psd(args, cfg: RunConfig):
-    psd = cfg.require_signal()
-    grid = cfg.require_output_grid()
-    model = _kernel_model(cfg)
+def _gn_psd(args, psd, model, grid, step, include_phase_term):
+    """The GN PSD of X; a request the engine rejects is a configuration
+    error."""
     try:
         request = GnRequest(psd=psd, kernel=model, output_grid_hz=grid,
-                            inner_grid_step_hz=cfg.inner_grid_step_hz,
-                            include_phase_term=cfg.include_phase_term)
+                            inner_grid_step_hz=step,
+                            include_phase_term=include_phase_term)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    result = nli_psd_x(request, threads=max(1, args.threads))
+    return nli_psd_x(request, threads=max(1, args.threads))
+
+
+def _run_psd(args, cfg: RunConfig):
+    psd, grid = cfg.require_signal(), cfg.require_output_grid()
+    result = _gn_psd(args, psd, _kernel_model(cfg), grid,
+                     cfg.inner_grid_step_hz, cfg.include_phase_term)
 
     lines = _header_lines("psd", cfg.resolved)
     lines.append("f_Hz,spm,xpolm,phase,total_normalized,total_absolute_W_per_Hz")
@@ -191,61 +208,36 @@ def _run_psd(args, cfg: RunConfig):
 def _run_montecarlo(args, cfg: RunConfig):
     psd = cfg.require_signal()
     model = _kernel_model(cfg)
-    params = dict(cfg.montecarlo)
-    for flag, key in (("mode", "mode"), ("lines", "num_lines"),
-                      ("spacing_hz", "spacing_hz"), ("trials", "num_trials"),
-                      ("seed", "seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            params[key] = value
-    trial_cfg = TrialConfig(spacing_hz=params["spacing_hz"],
-                            num_lines=params["num_lines"],
-                            num_trials=params["num_trials"],
-                            seed=params["seed"], mode=params["mode"],
-                            edge_margin=params["edge_margin"])
+    params, resolved = _merge_flags(args, cfg, "montecarlo")
+    trial_cfg = TrialConfig(**params)
     estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
 
     # continuum GN prediction on the same grid; the phase term belongs to the
     # RP1 PSD only and cancels in DP-ERP1
-    try:
-        request = GnRequest(psd=psd, kernel=model,
-                            output_grid_hz=estimate.frequencies_hz,
-                            inner_grid_step_hz=trial_cfg.spacing_hz / 8.0,
-                            include_phase_term=(trial_cfg.mode == MODE_RP1))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    analytic = nli_psd_x(request, threads=max(1, args.threads)).total
+    analytic = _gn_psd(args, psd, model, estimate.frequencies_hz,
+                       trial_cfg.spacing_hz / 8.0,
+                       trial_cfg.mode == MODE_RP1).total
 
-    resolved = dict(cfg.resolved)
-    for key, value in params.items():
-        resolved[f"montecarlo.{key}"] = value
     lines = _header_lines("montecarlo", resolved)
     lines.append("f_Hz,mc_mean,mc_stderr,analytic,abs_z_score")
     for i, f in enumerate(estimate.frequencies_hz):
-        delta = abs(float(estimate.mean[i]) - float(analytic[i]))
         stderr = float(estimate.stderr[i])
-        if stderr > 0:
-            z = delta / stderr
-        else:
-            z = 0.0 if delta == 0 else math.inf
+        z = abs_z_score(float(estimate.mean[i]) - float(analytic[i]), stderr)
         lines.append(",".join(_fmt(float(v)) for v in (
             f, estimate.mean[i], stderr, analytic[i], z)))
     return "\n".join(lines) + "\n", True
 
 
 def _run_moments(args, cfg: RunConfig):
-    params = dict(cfg.moments)
-    for flag, key in (("theorem", "theorem"), ("k", "k"),
-                      ("trials", "trials"), ("seed", "seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            params[key] = value
-
+    params, resolved = _merge_flags(args, cfg, "moments")
     theorem = params["theorem"]
     if theorem not in (1, 2, 3):
         raise ConfigError(f"moments.theorem must be 1, 2 or 3, got {theorem}")
     if params["trials"] < 2:
         raise ConfigError("moments.trials must be at least 2")
+    if not 0 <= params["seed"] < 2**64:
+        raise ConfigError(f"moments.seed must be a 64-bit unsigned integer, "
+                          f"got {params['seed']}")
     threads = max(1, args.threads)
     if theorem == 2:
         report = theorem2_check(params["k"], params["num_ensembles"],
@@ -261,9 +253,6 @@ def _run_moments(args, cfg: RunConfig):
             report = theorem3_discrete_check(processes, params["trials"],
                                              params["seed"], threads=threads)
 
-    resolved = dict(cfg.resolved)
-    for key, value in params.items():
-        resolved[f"moments.{key}"] = value
     lines = _header_lines("moments", resolved)
     lines.append("check,passed,z_score,re_estimate,im_estimate,re_expected,"
                  "im_expected,re_stderr,im_stderr,formula_gap")

@@ -8,9 +8,11 @@ For the X polarization the normalized NLI PSD (in units of Phi_NL^2) is
                             Ghat_y(f+f1+f2) df1 df2                (XPolM)
                      +     Ghat_x(f) * (2 Phat_x + Phat_y)^2       (phase term)
 
-and the Y result follows by exchanging the polarization roles everywhere,
-including the phase coefficient (2 Phat_y + Phat_x)^2.  The phase term is
-present in RP1 mode and absent after the DP-ERP1 change of variables.
+The phase term is present in RP1 mode and absent after the DP-ERP1 change
+of variables.  Only the X formula is implemented: the Y result is the X
+result of the swapped input (``DualPolPsd.swapped()``), which exchanges the
+polarization roles everywhere, including the phase coefficient
+(2 Phat_y + Phat_x)^2.
 
 The double integrals are evaluated by a uniform midpoint rule whose cells are
 aligned to the compact supports: f1 spans support(main) - f, f2 spans
@@ -37,12 +39,12 @@ the thread count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import KernelModel, normalized_kernel_grid
-from .spectra import DualPolPsd, PsdShape
+from .spectra import DualPolPsd, PsdShape, phase_rotation_weight
 
 __all__ = [
     "GnRequest",
@@ -60,7 +62,7 @@ def phase_term_coefficient(px_hat: float, py_hat: float) -> float:
     """
     if px_hat < 0 or py_hat < 0:
         raise ValueError(f"power integrals must be >= 0, got {px_hat}, {py_hat}")
-    return (2.0 * px_hat + py_hat) ** 2
+    return phase_rotation_weight(px_hat, py_hat) ** 2
 
 
 @dataclass
@@ -204,21 +206,16 @@ def _integrate_run(kernel, shapes, axes, grid, run) -> np.ndarray:
     return values
 
 
-def _evaluate(req: GnRequest, main_pol: str, threads: int = 1) -> NliPsdResult:
+def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
+    """NLI PSD received by the X polarization."""
     psd = req.psd
-    if main_pol == "x":
-        g_main, g_other = psd.gx, psd.gy
-        coeff = phase_term_coefficient(psd.px_hat, psd.py_hat)
-    else:
-        g_main, g_other = psd.gy, psd.gx
-        coeff = phase_term_coefficient(psd.py_hat, psd.px_hat)
-
+    gx, gy = psd.gx, psd.gy
     grid = req.output_grid_hz
     spm = np.zeros(grid.size)
     xpolm = np.zeros(grid.size)
     tasks = []
-    for out, scale, shapes in ((spm, 2.0, (g_main, g_main, g_main)),
-                               (xpolm, 1.0, (g_main, g_other, g_other))):
+    for out, scale, shapes in ((spm, 2.0, (gx, gx, gx)),
+                               (xpolm, 1.0, (gx, gy, gy))):
         if min(shape.power_integral() for shape in shapes) <= 0:
             continue
         axes = tuple(_cell_axis(shape, req.inner_grid_step_hz)
@@ -236,7 +233,8 @@ def _evaluate(req: GnRequest, main_pol: str, threads: int = 1) -> NliPsdResult:
         for task in tasks:
             compute(task)
 
-    phase = coeff * np.asarray(g_main.evaluate(grid), dtype=float)
+    coeff = phase_term_coefficient(psd.px_hat, psd.py_hat)
+    phase = coeff * np.asarray(gx.evaluate(grid), dtype=float)
     return NliPsdResult(
         frequencies_hz=grid,
         spm=spm,
@@ -248,11 +246,7 @@ def _evaluate(req: GnRequest, main_pol: str, threads: int = 1) -> NliPsdResult:
     )
 
 
-def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
-    """NLI PSD received by the X polarization."""
-    return _evaluate(req, "x", threads)
-
-
 def nli_psd_y(req: GnRequest, threads: int = 1) -> NliPsdResult:
-    """NLI PSD received by the Y polarization (x and y roles exchanged)."""
-    return _evaluate(req, "y", threads)
+    """NLI PSD received by the Y polarization: the X PSD of the swapped
+    input."""
+    return nli_psd_x(replace(req, psd=req.psd.swapped()), threads)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .link import LinkProfile
+from .spectra import phase_rotation_weight
 
 __all__ = [
     "PHASE_RATE",
@@ -249,6 +250,6 @@ def nonlinear_phase(model: KernelModel, p0: float, px: float, py: float) -> Nonl
     return NonlinearPhase(
         p0_w=p0,
         phi_nl=p0 * k0,
-        phi_x=k0 * (2.0 * px + py),
-        phi_y=k0 * (2.0 * py + px),
+        phi_x=k0 * phase_rotation_weight(px, py),
+        phi_y=k0 * phase_rotation_weight(py, px),
     )

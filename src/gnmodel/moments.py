@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .rng import moment_stream
+from .rng import complex_normals, moment_stream
 
 __all__ = [
     "GaussianEnsemble",
@@ -35,6 +35,7 @@ __all__ = [
     "CheckResult",
     "CheckReport",
     "StationaryProcessSet",
+    "abs_z_score",
     "cgmt_sum",
     "mc_moment",
     "fourth_moment_identity",
@@ -79,18 +80,14 @@ class GaussianEnsemble:
     @classmethod
     def random(cls, dimension: int, rank: int, seed: int) -> "GaussianEnsemble":
         """Random factor with i.i.d. standard circular complex entries."""
-        g = moment_stream(seed, 0)
-        n = g.standard_normal(2 * dimension * rank)
-        f = (n[0::2] + 1j * n[1::2]).reshape(dimension, rank) / math.sqrt(2.0)
-        return cls(factor=f)
+        n = complex_normals(moment_stream(seed, 0), dimension * rank)
+        return cls(factor=n.reshape(dimension, rank) / math.sqrt(2.0))
 
     def sample(self, trials: int, seed: int) -> np.ndarray:
         """(dimension, trials) draws of U."""
         rank = self.factor.shape[1]
-        g = moment_stream(seed, 0)
-        n = g.standard_normal(2 * rank * trials)
-        z = (n[0::2] + 1j * n[1::2]).reshape(rank, trials) / math.sqrt(2.0)
-        return self.factor @ z
+        n = complex_normals(moment_stream(seed, 0), rank * trials)
+        return self.factor @ (n.reshape(rank, trials) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -161,11 +158,15 @@ def mc_moment(ensemble: GaussianEnsemble, spec: MomentSpec,
         prod *= np.conj(u[c_idx])
     for u_idx in spec.unconjugated:
         prod *= u[u_idx]
-    est = complex(prod.mean())
-    scale = 1.0 / math.sqrt(trials)
-    stderr = complex(np.std(prod.real, ddof=1) * scale,
-                     np.std(prod.imag, ddof=1) * scale)
-    return est, stderr
+    return _mean_stderr(prod)
+
+
+def _mean_stderr(prod: np.ndarray) -> tuple[complex, complex]:
+    """Sample mean of ``prod`` and its real/imaginary standard errors packed
+    as one complex number."""
+    scale = 1.0 / math.sqrt(prod.size)
+    return complex(prod.mean()), complex(np.std(prod.real, ddof=1) * scale,
+                                         np.std(prod.imag, ddof=1) * scale)
 
 
 def fourth_moment_identity(ensemble: GaussianEnsemble, indices) -> complex:
@@ -206,15 +207,16 @@ class CheckReport:
         return max((c.z_score for c in self.checks), default=0.0)
 
 
-def _component_z(delta: float, stderr: float) -> float:
+def abs_z_score(delta: float, stderr: float) -> float:
+    """|delta| in standard errors; 0 for an exact zero-variance match."""
     if stderr > 0:
         return abs(delta) / stderr
     return 0.0 if delta == 0 else math.inf
 
 
 def _score(name, estimate, stderr, expected, formula_gap=0.0, gap_scale=1.0):
-    z = max(_component_z(estimate.real - expected.real, stderr.real),
-            _component_z(estimate.imag - expected.imag, stderr.imag))
+    z = max(abs_z_score(estimate.real - expected.real, stderr.real),
+            abs_z_score(estimate.imag - expected.imag, stderr.imag))
     passed = z <= _Z_THRESHOLD and formula_gap <= 1e-10 * max(gap_scale, 1.0)
     return CheckResult(name=name, estimate=estimate, stderr=stderr,
                        expected=expected, z_score=z, passed=passed,
@@ -277,9 +279,8 @@ class StationaryProcessSet:
         bins = np.mod(np.asarray(bins, dtype=int), n_grid)
         uniq, inverse = np.unique(bins, return_inverse=True)
         sources = self.filters.shape[1]
-        g = moment_stream(seed, 0)
-        normals = g.standard_normal(2 * sources * uniq.size * trials)
-        w = (normals[0::2] + 1j * normals[1::2]).reshape(sources, uniq.size, trials)
+        w = complex_normals(moment_stream(seed, 0), sources * uniq.size * trials)
+        w = w.reshape(sources, uniq.size, trials)
         w /= math.sqrt(2.0)
         values = np.einsum("psu,sut->put", self.filters[:, :, uniq], w)
         return values[:, inverse, :]
@@ -287,17 +288,16 @@ class StationaryProcessSet:
     @classmethod
     def random(cls, num_processes: int, num_sources: int, grid_size: int,
                seed: int) -> "StationaryProcessSet":
-        g = moment_stream(seed, 0)
-        n = g.standard_normal(2 * num_processes * num_sources * grid_size)
-        f = (n[0::2] + 1j * n[1::2]).reshape(num_processes, num_sources, grid_size)
-        return cls(filters=f / math.sqrt(2.0))
+        n = complex_normals(moment_stream(seed, 0),
+                            num_processes * num_sources * grid_size)
+        return cls(filters=n.reshape(num_processes, num_sources, grid_size)
+                   / math.sqrt(2.0))
 
     @classmethod
     def independent_pair(cls, grid_size: int, seed: int) -> "StationaryProcessSet":
         """Two processes on disjoint sources: G_xy identically zero."""
-        g = moment_stream(seed, 0)
-        n = g.standard_normal(4 * grid_size)
-        h = (n[0::2] + 1j * n[1::2]).reshape(2, grid_size) / math.sqrt(2.0)
+        n = complex_normals(moment_stream(seed, 0), 2 * grid_size)
+        h = n.reshape(2, grid_size) / math.sqrt(2.0)
         filters = np.zeros((2, 2, grid_size), dtype=complex)
         filters[0, 0] = 1.0 + 0.3 * np.abs(h[0])   # nontrivial real spectra
         filters[1, 1] = 0.8 + 0.4 * np.abs(h[1])
@@ -365,13 +365,8 @@ def _six_product_mc(procs, pattern, bins, trials, seed):
     """MC estimate of E[S0 S1* S2 S3* S4 S5*] over the slot values."""
     values = procs.sample_at(bins, trials, seed)
     slots = [values[pattern[i], i, :] for i in range(6)]
-    prod = slots[0] * np.conj(slots[1]) * slots[2] \
-        * np.conj(slots[3]) * slots[4] * np.conj(slots[5])
-    est = complex(prod.mean())
-    scale = 1.0 / math.sqrt(trials)
-    stderr = complex(np.std(prod.real, ddof=1) * scale,
-                     np.std(prod.imag, ddof=1) * scale)
-    return est, stderr
+    return _mean_stderr(slots[0] * np.conj(slots[1]) * slots[2]
+                        * np.conj(slots[3]) * slots[4] * np.conj(slots[5]))
 
 
 def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
@@ -389,11 +384,7 @@ def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
     for idx, (name, p, q, nu, mu) in enumerate(configs):
         bins = np.mod(np.array([nu, mu]), processes.grid_size)
         values = processes.sample_at(bins, trials, seed + idx)
-        prod = values[p, 0, :] * np.conj(values[q, 1, :])
-        est = complex(prod.mean())
-        scale = 1.0 / math.sqrt(trials)
-        stderr = complex(np.std(prod.real, ddof=1) * scale,
-                         np.std(prod.imag, ddof=1) * scale)
+        est, stderr = _mean_stderr(values[p, 0, :] * np.conj(values[q, 1, :]))
         expected = complex(processes.spectrum(p, q)[bins[0]]) \
             if bins[0] == bins[1] else 0.0 + 0.0j
         report.checks.append(_score(name, est, stderr, expected))

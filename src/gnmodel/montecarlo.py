@@ -11,7 +11,8 @@ The discrete RP1 perturbation map applied to a field is
     U_xp(k f0) = -j Phi_NL * f0^2 * sum_{m,n} eta(m n f0^2) *
         [ X_{k+m} conj(X_{k+m+n}) X_{k+n} + X_{k+m} conj(Y_{k+m+n}) Y_{k+n} ]
 
-(out-of-grid indices are zero), and the DP-ERP1 map subtracts the
+(out-of-grid indices are zero; Y is X of the swapped field and input,
+``DualPolPsd.swapped()``), and the DP-ERP1 map subtracts the
 deterministic phase-rotation part P_T * X_k from the bracketed sum before the
 -j Phi_NL scaling.  The PSD estimator averages f0 * |sum|^2 per grid
 frequency over trials, which converges to the GN total Ghat_xp(f)/Phi_NL^2.
@@ -57,8 +58,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernel import KernelModel, normalized_kernel_grid
-from .rng import POL_X, POL_Y, field_stream
-from .spectra import DualPolPsd, PsdShape
+from .rng import POL_X, POL_Y, complex_normals, field_stream
+from .spectra import DualPolPsd, PsdShape, phase_rotation_weight
 
 __all__ = [
     "MODE_RP1",
@@ -198,8 +199,8 @@ def _draw_rows(cfg: TrialConfig, amps: np.ndarray, pol_tag: int,
     count = cfg.grid_indices.size
     out = np.empty((trial_hi - trial_lo, count), dtype=complex)
     for t in range(trial_lo, trial_hi):
-        normals = field_stream(cfg.seed, t, pol_tag).standard_normal(2 * count)
-        out[t - trial_lo] = (normals[0::2] + 1j * normals[1::2]) * amps
+        out[t - trial_lo] = complex_normals(field_stream(cfg.seed, t, pol_tag),
+                                            count) * amps
     return out
 
 
@@ -223,21 +224,21 @@ def _support_bounds(cfg: TrialConfig, shape: PsdShape):
     return int(nz[0]), int(nz[-1])
 
 
-def _shift_sums(cfg, psd, kernel, polarization):
-    """Support-restricted ranges of the per-shift products, and the kernel.
+def _shift_sums(cfg, psd, kernel):
+    """Support-restricted ranges of the per-shift products of the X sum, and
+    the kernel.
 
     Returns ``(shifts, table, offset)``.  Each entry (m, i0, i1, j0, j1) of
     ``shifts`` keeps rows i in [i0, i1), where i and i+m both lie in one
-    support (main for SPM, partner for XPolM; the hull of the two), and
-    output columns j in [j0, j1), where the first parent j+m lies in the main
+    support (X for SPM, Y for XPolM; the hull of the two), and output
+    columns j in [j0, j1), where the first parent j+m lies in the X
     support: every skipped term has a line outside its support, which is
     exactly zero.  ``table[p + offset]`` holds f0^2 eta(p f0^2) at every
     integer product p = m (i - j) that the kept blocks use, evaluated once.
     """
     count = cfg.grid_indices.size
-    bx = _support_bounds(cfg, psd.gx)
-    by = _support_bounds(cfg, psd.gy)
-    main, other = (bx, by) if polarization == "x" else (by, bx)
+    main = _support_bounds(cfg, psd.gx)
+    other = _support_bounds(cfg, psd.gy)
     if main is None:
         return [], None, 0
     supports = [b for b in (main, other) if b is not None]
@@ -291,14 +292,21 @@ def _phi_nl(psd: DualPolPsd, kernel: KernelModel) -> float:
     return psd.p0_w * kernel.k0.real
 
 
+def _double_sums(field: SpectralField, kernel: KernelModel, cfg: TrialConfig,
+                 psd: DualPolPsd):
+    """The RP1 double sums (B_x, B_y) of one field; B_y is B_x of the
+    swapped input."""
+    x, y = field.lines_x[None, :], field.lines_y[None, :]
+    bx = _perturbation_rows(x, y, _shift_sums(cfg, psd, kernel))[0]
+    by = _perturbation_rows(y, x, _shift_sums(cfg, psd.swapped(), kernel))[0]
+    return bx, by
+
+
 def rp1_perturbation(field: SpectralField, kernel: KernelModel,
                      cfg: TrialConfig, psd: DualPolPsd) -> SpectralField:
     """First-order perturbation field -j Phi_NL * (double sum), both pols."""
     phi = _phi_nl(psd, kernel)
-    bx = _perturbation_rows(field.lines_x[None, :], field.lines_y[None, :],
-                            _shift_sums(cfg, psd, kernel, "x"))[0]
-    by = _perturbation_rows(field.lines_y[None, :], field.lines_x[None, :],
-                            _shift_sums(cfg, psd, kernel, "y"))[0]
+    bx, by = _double_sums(field, kernel, cfg, psd)
     return SpectralField(cfg.spacing_hz, -1j * phi * bx, -1j * phi * by)
 
 
@@ -312,39 +320,37 @@ def erp1_perturbation(field: SpectralField, kernel: KernelModel,
     """
     phi = _phi_nl(psd, kernel)
     px_d, py_d = discrete_powers(cfg, psd)
-    bx = _perturbation_rows(field.lines_x[None, :], field.lines_y[None, :],
-                            _shift_sums(cfg, psd, kernel, "x"))[0]
-    by = _perturbation_rows(field.lines_y[None, :], field.lines_x[None, :],
-                            _shift_sums(cfg, psd, kernel, "y"))[0]
+    bx, by = _double_sums(field, kernel, cfg, psd)
     return SpectralField(
         cfg.spacing_hz,
-        -1j * phi * (bx - (2.0 * px_d + py_d) * field.lines_x),
-        -1j * phi * (by - (2.0 * py_d + px_d) * field.lines_y),
+        -1j * phi * (bx - phase_rotation_weight(px_d, py_d) * field.lines_x),
+        -1j * phi * (by - phase_rotation_weight(py_d, px_d) * field.lines_y),
     )
 
 
-def _per_trial_values(cfg, psd, kernel, polarization):
-    """Per-trial estimator samples f0*|B|^2 and f0*|B - P_T a|^2, (T, K).
-
-    Streams are keyed by *role* (main polarization = tag 0, partner = tag 1),
-    not by physical polarization, so swapping the input PSDs together with
-    the requested polarization reproduces the other estimate bit-exactly.
-    For polarization "x" the role tags coincide with the physical POL_X /
-    POL_Y tags of ``draw_field``.
-    """
+def _main_as_x(cfg: TrialConfig, psd: DualPolPsd, polarization: str) -> DualPolPsd:
+    """The input with the requested output polarization in the X role."""
+    if polarization not in ("x", "y"):
+        raise ValueError(f"polarization must be 'x' or 'y', got {polarization!r}")
     validate_grid_coverage(cfg, psd)
+    return psd if polarization == "x" else psd.swapped()
+
+
+def _per_trial_values(cfg, psd, kernel):
+    """Per-trial estimator samples f0*|B|^2 and f0*|B - P_T a|^2 of the X
+    polarization, (T, K).
+
+    Only X is computed: the Y samples are the X samples of the swapped input
+    (``psd.swapped()``).  Streams are keyed by *role* (main polarization =
+    tag 0, partner = tag 1), which for X coincide with the physical POL_X /
+    POL_Y tags of ``draw_field``, so the swap reproduces the Y estimate
+    bit-exactly.
+    """
     f0 = cfg.spacing_hz
-    if polarization == "x":
-        main_amps = _line_amplitudes(cfg, psd.gx)
-        other_amps = _line_amplitudes(cfg, psd.gy)
-        pt_weights = (2.0, 1.0)
-    else:
-        main_amps = _line_amplitudes(cfg, psd.gy)
-        other_amps = _line_amplitudes(cfg, psd.gx)
-        pt_weights = (1.0, 2.0)
-    sums = _shift_sums(cfg, psd, kernel, polarization)
-    px_d, py_d = discrete_powers(cfg, psd)
-    pt_d = pt_weights[0] * px_d + pt_weights[1] * py_d
+    main_amps = _line_amplitudes(cfg, psd.gx)
+    other_amps = _line_amplitudes(cfg, psd.gy)
+    sums = _shift_sums(cfg, psd, kernel)
+    pt_d = phase_rotation_weight(*discrete_powers(cfg, psd))
 
     trials = cfg.num_trials
     count = cfg.grid_indices.size
@@ -380,8 +386,10 @@ def estimate_nli_psd(cfg: TrialConfig, psd: DualPolPsd, kernel: KernelModel,
     Deterministic for a given (seed, cfg): the 256-trial chunks are fixed
     and the reduction runs once over the assembled per-trial matrix (see the
     module docstring for why the chunk shape is part of the result).
+    ``polarization`` "y" runs the X path on the swapped input.
     """
-    v_rp1, v_erp1 = _per_trial_values(cfg, psd, kernel, polarization)
+    v_rp1, v_erp1 = _per_trial_values(cfg, _main_as_x(cfg, psd, polarization),
+                                      kernel)
     values = v_rp1 if cfg.mode == MODE_RP1 else v_erp1
     return _reduce(cfg, values)
 
@@ -389,7 +397,8 @@ def estimate_nli_psd(cfg: TrialConfig, psd: DualPolPsd, kernel: KernelModel,
 def run_paired_trials(cfg: TrialConfig, psd: DualPolPsd, kernel: KernelModel,
                       polarization: str = "x") -> PairedEstimates:
     """Both estimators from the same draws, plus their paired difference."""
-    v_rp1, v_erp1 = _per_trial_values(cfg, psd, kernel, polarization)
+    v_rp1, v_erp1 = _per_trial_values(cfg, _main_as_x(cfg, psd, polarization),
+                                      kernel)
     return PairedEstimates(
         rp1=_reduce(cfg, v_rp1),
         erp1=_reduce(cfg, v_erp1),

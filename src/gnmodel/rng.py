@@ -37,3 +37,14 @@ def moment_stream(seed: int, check_index: int) -> Generator:
     """Private stream for one moment-lab sampling task."""
     bits = Philox(key=seed, counter=[0, _DOMAIN_MOMENT, check_index, 0])
     return Generator(bits)
+
+
+def complex_normals(generator: Generator, count: int):
+    """``count`` complex values whose real and imaginary parts are
+    consecutive standard normals of ``generator`` (so E|z|^2 = 2; callers
+    scale by 1/sqrt(2) themselves).
+
+    Viewing the (2 count) normals as complex pairs is bit-identical to
+    ``n[0::2] + 1j * n[1::2]`` and costs no copy.
+    """
+    return generator.standard_normal(2 * count).view(complex)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .link import _scalar_like
 
 __all__ = [
     "PsdShape",
@@ -20,6 +21,7 @@ __all__ = [
     "RaisedCosinePsd",
     "TabulatedPsd",
     "DualPolPsd",
+    "phase_rotation_weight",
 ]
 
 
@@ -38,10 +40,6 @@ class PsdShape:
     def support(self) -> tuple[float, float]:
         """(f_min, f_max) outside which the shape vanishes."""
         raise NotImplementedError
-
-
-def _scalar_like(template, values):
-    return float(values) if np.ndim(template) == 0 else values
 
 
 def _require_finite(shape):
@@ -203,16 +201,12 @@ class DualPolPsd:
     def py_hat(self) -> float:
         return self.gy.power_integral()
 
-    @property
-    def pt_hat_x(self) -> float:
-        """Phase-rotation power weight 2*Px_hat + Py_hat seen by X."""
-        return 2.0 * self.px_hat + self.py_hat
-
-    @property
-    def pt_hat_y(self) -> float:
-        """Phase-rotation power weight 2*Py_hat + Px_hat seen by Y."""
-        return 2.0 * self.py_hat + self.px_hat
-
     def swapped(self) -> "DualPolPsd":
         """The same input with the polarization roles exchanged."""
         return DualPolPsd(gx=self.gy, gy=self.gx, p0_w=self.p0_w)
+
+
+def phase_rotation_weight(p_main: float, p_partner: float) -> float:
+    """P_T = 2*P_main + P_partner, the phase-rotation power weight seen by
+    the main polarization (2Px + Py for X; Y swaps the arguments)."""
+    return 2.0 * p_main + p_partner

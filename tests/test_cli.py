@@ -290,7 +290,107 @@ class TestMomentsCommand:
         assert run(base + ["--theorem", "4"]) == 1       # argparse choice
         assert run(base + ["--theorem", "2", "--k", "9"]) == 1
         assert run(base + ["--trials", "1"]) == 1
+        assert run(base + ["--theorem", "2", "--seed", "-7"]) == 1
+        assert run(base + ["--seed", str(2**64)]) == 1
         assert not out.exists()
+
+
+HEADER_CONFIG = """
+link:
+  xi_pre_ps2: 1.5
+  spans:
+    - length_km: 50
+      alpha_db_per_km: 0.2
+      beta2_ps2_per_km: -21.7
+      gamma_per_w_km: 1.3
+      lumped_gain_db: 10.0
+signal:
+  p0_w: 2.0e-3
+  x: {kind: raised_cosine, bandwidth_hz: 8.0e9, rolloff: 0.2}
+  y: {kind: tabulated, csv_path: shape.csv}
+kernel:
+  quadrature_tolerance: 1.0e-9
+psd:
+  include_phase_term: false
+  inner_grid_step_hz: 2.5e8
+  output_min_hz: -4.0e9
+  output_max_hz: 4.0e9
+  output_points: 3
+montecarlo:
+  mode: erp1
+  num_lines: 16
+  spacing_hz: "1e9"
+  num_trials: 8
+  seed: 3
+moments:
+  theorem: 1
+  trials: 500
+"""
+
+# every line of the comment header, in order; defaulted keys included
+HEADER = """\
+# gnmodel 0.1.0
+# command = {command}
+# kernel.max_cells_per_span = 2097152
+# kernel.quadrature_tolerance = 1e-09
+# link.manakov_factor = true
+# link.spans[0].alpha_db_per_km = 0.2
+# link.spans[0].beta2_ps2_per_km = -21.7
+# link.spans[0].gamma_per_w_km = 1.3
+# link.spans[0].length_km = 50.0
+# link.spans[0].lumped_gain_db = 10.0
+# link.xi_pre_ps2 = 1.5
+# moments.grid_size = 32
+# moments.k = 2
+# moments.num_ensembles = 20
+# moments.num_processes = 6
+# moments.num_sources = 4
+# moments.seed = 54321
+# moments.theorem = 1
+# moments.trials = 500
+# montecarlo.edge_margin = 0.1
+# montecarlo.mode = {mode}
+# montecarlo.num_lines = {num_lines}
+# montecarlo.num_trials = {num_trials}
+# montecarlo.seed = {seed}
+# montecarlo.spacing_hz = {spacing_hz}
+# psd.include_phase_term = false
+# psd.inner_grid_step_hz = 250000000.0
+# psd.output_max_hz = 4000000000.0
+# psd.output_min_hz = -4000000000.0
+# psd.output_points = 3
+# signal.p0_w = 0.002
+# signal.x.bandwidth_hz = 8000000000.0
+# signal.x.center_hz = 0.0
+# signal.x.height = 1.0
+# signal.x.kind = raised_cosine
+# signal.x.rolloff = 0.2
+# signal.y.csv_path = shape.csv
+# signal.y.kind = tabulated
+"""
+
+
+class TestHeader:
+    def test_full_header_is_pinned(self, tmp_path):
+        (tmp_path / "shape.csv").write_text("-3.0e9,0.0\n0.0,0.8\n3.0e9,0.0\n")
+        config = tmp_path / "run.yaml"
+        config.write_text(HEADER_CONFIG)
+        runs = {
+            "psd": (["psd"], dict(mode="erp1", num_lines=16, num_trials=8,
+                                  seed=3, spacing_hz="1000000000.0")),
+            "montecarlo": (["montecarlo", "--mode", "rp1", "--lines", "18",
+                            "--spacing-hz", "9.0e8", "--trials", "6",
+                            "--seed", "4"],
+                           dict(mode="rp1", num_lines=18, num_trials=6,
+                                seed=4, spacing_hz="900000000.0")),
+        }
+        for command, (argv, mc) in runs.items():
+            out = tmp_path / f"{command}.csv"
+            assert run(["--config", str(config), "--output", str(out)]
+                       + argv) == 0
+            comments, _, _ = read_table(out)
+            assert comments == HEADER.format(command=command,
+                                             **mc).splitlines()
 
 
 class TestDriver:

@@ -228,6 +228,13 @@ class TestRejections:
                            match=r"spans\[0\]\.alpha_db_per_km"):
             load_config(write(tmp_path, text))
 
+    def test_kernel_tolerance_must_be_positive(self, tmp_path):
+        for value in ("0.0", "-1.0e-9"):
+            with pytest.raises(ConfigError,
+                               match="quadrature_tolerance must be > 0"):
+                load_config(write(tmp_path, "kernel:\n  quadrature_tolerance: "
+                                  f"{value}\n"))
+
     def test_spans_must_be_nonempty_list(self, tmp_path):
         with pytest.raises(ConfigError, match="nonempty list"):
             load_config(write(tmp_path, "link:\n  spans: []\n"))

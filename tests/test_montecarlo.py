@@ -321,6 +321,8 @@ class TestEstimator:
                                    polarization="x")
         np.testing.assert_array_equal(direct.mean, swapped.mean)
         np.testing.assert_array_equal(direct.stderr, swapped.stderr)
+        with pytest.raises(ValueError, match="polarization"):
+            estimate_nli_psd(cfg, self.psd, self.kernel, polarization="z")
 
     def test_mode_selects_the_paired_component(self):
         cfg_rp1 = self.cfg(mode="rp1")

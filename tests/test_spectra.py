@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gnmodel import (ConfigError, DualPolPsd, RaisedCosinePsd, RectangularPsd,
-                     TabulatedPsd)
+                     TabulatedPsd, phase_rotation_weight)
 
 
 class TestRectangular:
@@ -129,8 +129,8 @@ class TestDualPol:
                          p0_w=1e-3)
         assert psd.px_hat == 10e9
         assert psd.py_hat == 4e9
-        assert psd.pt_hat_x == 2 * 10e9 + 4e9
-        assert psd.pt_hat_y == 2 * 4e9 + 10e9
+        assert phase_rotation_weight(psd.px_hat, psd.py_hat) == 2 * 10e9 + 4e9
+        assert phase_rotation_weight(psd.py_hat, psd.px_hat) == 2 * 4e9 + 10e9
 
     def test_swapped_exchanges_roles(self):
         psd = DualPolPsd(gx=RectangularPsd(0.0, 10e9, 1.0),
@@ -138,7 +138,8 @@ class TestDualPol:
                          p0_w=1e-3)
         sw = psd.swapped()
         assert sw.gx is psd.gy and sw.gy is psd.gx
-        assert sw.pt_hat_x == psd.pt_hat_y
+        assert phase_rotation_weight(sw.px_hat, sw.py_hat) \
+            == phase_rotation_weight(psd.py_hat, psd.px_hat)
 
     def test_rejects_nonpositive_power(self):
         for p0 in (0.0, math.inf):
