@@ -69,8 +69,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--output", required=True,
                         help="output file (written atomically)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker count of the GN integral and the moment "
-                             "checks; never affects results")
+                        help="worker count of the GN integral and of the "
+                             "theorem-2 ensembles and theorem-3 checks; never "
+                             "affects results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     kernel = sub.add_parser("kernel", help="evaluate the link kernel on an F grid")
@@ -238,10 +239,15 @@ def _run_moments(args, cfg: RunConfig):
     if not 0 <= params["seed"] < 2**64:
         raise ConfigError(f"moments.seed must be a 64-bit unsigned integer, "
                           f"got {params['seed']}")
+    for key in ("num_ensembles", "num_processes", "num_sources", "grid_size"):
+        if params[key] < 1:
+            raise ConfigError(f"moments.{key} must be at least 1, "
+                              f"got {params[key]}")
     threads = max(1, args.threads)
     if theorem == 2:
         report = theorem2_check(params["k"], params["num_ensembles"],
-                                params["trials"], params["seed"])
+                                params["trials"], params["seed"],
+                                threads=threads)
     else:
         processes = StationaryProcessSet.random(
             params["num_processes"], params["num_sources"],

@@ -243,6 +243,10 @@ def load_config(path: str) -> RunConfig:
     if not kernel["quadrature_tolerance"] > 0:
         raise ConfigError("kernel.quadrature_tolerance must be > 0, got "
                           f"{kernel['quadrature_tolerance']!r}")
+    # the quadrature starts at 8 cells per span and doubles at least once
+    if kernel["max_cells_per_span"] < 16:
+        raise ConfigError("kernel.max_cells_per_span must be at least 16, got "
+                          f"{kernel['max_cells_per_span']}")
 
     psd = {"include_phase_term": True, "inner_grid_step_hz": None}
     output_grid = None

@@ -38,12 +38,12 @@ the thread count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import KernelModel, normalized_kernel_grid
+from .parallel import ordered_map
 from .spectra import DualPolPsd, PsdShape, phase_rotation_weight
 
 __all__ = [
@@ -226,12 +226,7 @@ def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
         out, scale, shapes, axes, run = task
         out[run[0]] = scale * _integrate_run(req.kernel, shapes, axes, grid, run)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(compute, tasks))
-    else:
-        for task in tasks:
-            compute(task)
+    ordered_map(compute, tasks, threads)
 
     coeff = phase_term_coefficient(psd.px_hat, psd.py_hat)
     phase = coeff * np.asarray(gx.evaluate(grid), dtype=float)

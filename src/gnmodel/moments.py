@@ -16,17 +16,26 @@ Three layers, each checked two independent ways (formula vs sampling):
 
 All statistical comparisons use a fixed 4-standard-error threshold with
 pre-registered trial counts.
+
+Sampling rule: draw everything, contract only the rows that are read.  Each
+check draws its white sources for every distinct bin it touches, from its own
+Philox stream, whether or not a process reads them, so the draws never depend
+on which rows a check asks for.  Only the (process, slot) rows the check's
+product reads are then filtered, each by the same einsum on its one-process,
+one-bin slice.  Every check and every theorem-2 ensemble has its own seed, so
+the ``threads`` argument only decides where the checks run, never what they
+return.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+from .parallel import ordered_map
 from .rng import complex_normals, moment_stream
 
 __all__ = [
@@ -87,7 +96,9 @@ class GaussianEnsemble:
         """(dimension, trials) draws of U."""
         rank = self.factor.shape[1]
         n = complex_normals(moment_stream(seed, 0), rank * trials)
-        return self.factor @ (n.reshape(rank, trials) / math.sqrt(2.0))
+        n = n.reshape(rank, trials)
+        n /= math.sqrt(2.0)
+        return self.factor @ n
 
 
 @dataclass(frozen=True)
@@ -269,21 +280,29 @@ class StationaryProcessSet:
             raise ConfigError("constructed spectral matrices are not positive "
                               "semidefinite")
 
-    def sample_at(self, bins, trials: int, seed: int) -> np.ndarray:
-        """(processes, len(bins), trials) spectral-line draws.
+    def sample_at(self, bins, rows, trials: int, seed: int) -> np.ndarray:
+        """(len(rows), trials) spectral-line draws, one row per (process,
+        slot) pair of ``rows``: X_process at ``bins[slot]``.
 
-        Bins are taken mod N; repeated bins reuse the same white draws, as
-        they must (the same spectral line cannot be redrawn).
+        Bins are taken mod N.  The white sources are drawn at every distinct
+        bin, whichever rows are asked for, and repeated bins reuse the same
+        draws, as they must (the same spectral line cannot be redrawn).  Only
+        the requested rows are contracted.
         """
-        n_grid = self.grid_size
-        bins = np.mod(np.asarray(bins, dtype=int), n_grid)
+        bins = np.mod(np.asarray(bins, dtype=int), self.grid_size)
         uniq, inverse = np.unique(bins, return_inverse=True)
         sources = self.filters.shape[1]
         w = complex_normals(moment_stream(seed, 0), sources * uniq.size * trials)
         w = w.reshape(sources, uniq.size, trials)
         w /= math.sqrt(2.0)
-        values = np.einsum("psu,sut->put", self.filters[:, :, uniq], w)
-        return values[:, inverse, :]
+
+        def row(p, slot):
+            u = inverse[slot]
+            b = uniq[u]
+            return np.einsum("psu,sut->put", self.filters[p:p + 1, :, b:b + 1],
+                             w[:, u:u + 1, :])[0, 0]
+
+        return np.stack([row(p, slot) for p, slot in rows])
 
     @classmethod
     def random(cls, num_processes: int, num_sources: int, grid_size: int,
@@ -363,8 +382,8 @@ def _pairing_reference(procs: StationaryProcessSet, pattern, bins) -> complex:
 
 def _six_product_mc(procs, pattern, bins, trials, seed):
     """MC estimate of E[S0 S1* S2 S3* S4 S5*] over the slot values."""
-    values = procs.sample_at(bins, trials, seed)
-    slots = [values[pattern[i], i, :] for i in range(6)]
+    slots = procs.sample_at(bins, [(p, i) for i, p in enumerate(pattern)],
+                            trials, seed)
     return _mean_stderr(slots[0] * np.conj(slots[1]) * slots[2]
                         * np.conj(slots[3]) * slots[4] * np.conj(slots[5]))
 
@@ -383,31 +402,40 @@ def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
     report = CheckReport()
     for idx, (name, p, q, nu, mu) in enumerate(configs):
         bins = np.mod(np.array([nu, mu]), processes.grid_size)
-        values = processes.sample_at(bins, trials, seed + idx)
-        est, stderr = _mean_stderr(values[p, 0, :] * np.conj(values[q, 1, :]))
+        x_p, x_q = processes.sample_at(bins, [(p, 0), (q, 1)], trials,
+                                       seed + idx)
+        est, stderr = _mean_stderr(x_p * np.conj(x_q))
         expected = complex(processes.spectrum(p, q)[bins[0]]) \
             if bins[0] == bins[1] else 0.0 + 0.0j
         report.checks.append(_score(name, est, stderr, expected))
     return report
 
 
-def theorem2_check(k: int, num_ensembles: int, trials: int, seed: int) -> CheckReport:
+def theorem2_check(k: int, num_ensembles: int, trials: int, seed: int,
+                   threads: int = 1) -> CheckReport:
     """CGMT permutation sum vs direct sampling on random ensembles.
 
     Also reproduces the single-variable classics E|U|^4 = 2 sigma^4 and
-    E|U|^6 = 6 sigma^6.
+    E|U|^6 = 6 sigma^6, after the ensembles.  The ensembles run on
+    ``threads`` worker threads; each has its own seeds, so ``threads`` never
+    changes a result or the order of the checks.
     """
     if not 1 <= k <= MAX_MOMENT_ORDER:
         raise ConfigError(f"k must be in [1, {MAX_MOMENT_ORDER}], got {k}")
-    report = CheckReport()
+    if num_ensembles < 1:
+        raise ConfigError(f"need at least 1 ensemble, got {num_ensembles}")
     dim = 2 * k
-    for e in range(num_ensembles):
+    spec = MomentSpec(conjugated=tuple(range(k)),
+                      unconjugated=tuple(range(k, 2 * k)))
+
+    def ensemble_check(e):
         ens = GaussianEnsemble.random(dim, dim, seed + 1_000_003 * e + 1)
-        spec = MomentSpec(conjugated=tuple(range(k)),
-                          unconjugated=tuple(range(k, 2 * k)))
         exact = cgmt_sum(ens, spec)
         est, stderr = mc_moment(ens, spec, trials, seed + 1_000_003 * e + 2)
-        report.checks.append(_score(f"t2-k{k}-ensemble{e}", est, stderr, exact))
+        return _score(f"t2-k{k}-ensemble{e}", est, stderr, exact)
+
+    report = CheckReport(checks=ordered_map(ensemble_check,
+                                            range(num_ensembles), threads))
 
     single = GaussianEnsemble(factor=np.array([[1.1 + 0.4j, 0.3 - 0.2j]]))
     sigma2 = single.covariance[0, 0].real
@@ -465,8 +493,6 @@ def theorem3_discrete_check(processes: StationaryProcessSet, trials: int,
         ("t3-white-independent", white, generic, f, f, (0, 0, 0, 0)),
     ]
 
-    results = [None] * len(configs)
-
     def run(idx):
         name, procs, pattern, ff, uu, offsets = configs[idx]
         bins = _slot_bins(ff, uu, offsets, procs.grid_size)
@@ -475,16 +501,7 @@ def theorem3_discrete_check(processes: StationaryProcessSet, trials: int,
         gap = abs(expected - reference)
         est, stderr = _six_product_mc(procs, pattern, bins, trials,
                                       seed + 7919 * idx)
-        results[idx] = _score(name, est, stderr, expected, formula_gap=gap,
-                              gap_scale=abs(expected))
+        return _score(name, est, stderr, expected, formula_gap=gap,
+                      gap_scale=abs(expected))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(configs))))
-    else:
-        for idx in range(len(configs)):
-            run(idx)
-
-    report = CheckReport()
-    report.checks.extend(results)
-    return report
+    return CheckReport(checks=ordered_map(run, range(len(configs)), threads))

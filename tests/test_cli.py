@@ -292,6 +292,16 @@ class TestMomentsCommand:
         assert run(base + ["--trials", "1"]) == 1
         assert run(base + ["--theorem", "2", "--seed", "-7"]) == 1
         assert run(base + ["--seed", str(2**64)]) == 1
+        for key, value, theorem in (("num_ensembles", 0, "2"),
+                                    ("num_ensembles", -3, "2"),
+                                    ("num_processes", -1, "3"),
+                                    ("num_sources", -1, "3"),
+                                    ("grid_size", -1, "1")):
+            path = tmp_path / "sizes.yaml"
+            path.write_text(textwrap.dedent(CONFIG).replace(
+                "moments:\n", f"moments:\n  {key}: {value}\n"))
+            assert run(["--config", str(path), "--output", str(out),
+                        "moments", "--theorem", theorem]) == 1, key
         assert not out.exists()
 
 

@@ -235,6 +235,16 @@ class TestRejections:
                 load_config(write(tmp_path, "kernel:\n  quadrature_tolerance: "
                                   f"{value}\n"))
 
+    def test_kernel_cell_budget_must_allow_one_doubling(self, tmp_path):
+        # the quadrature starts at 8 cells per span and must double once
+        for value in ("15", "0", "-8"):
+            with pytest.raises(ConfigError,
+                               match="max_cells_per_span must be at least 16"):
+                load_config(write(tmp_path, "kernel:\n  max_cells_per_span: "
+                                  f"{value}\n"))
+        cfg = load_config(write(tmp_path, "kernel:\n  max_cells_per_span: 16\n"))
+        assert cfg.kernel_max_cells == 16
+
     def test_spans_must_be_nonempty_list(self, tmp_path):
         with pytest.raises(ConfigError, match="nonempty list"):
             load_config(write(tmp_path, "link:\n  spans: []\n"))

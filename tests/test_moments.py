@@ -9,6 +9,7 @@ from gnmodel import (CheckReport, ConfigError, GaussianEnsemble, MomentSpec,
                      mc_moment, theorem1_discrete_check, theorem2_check,
                      theorem3_discrete_check)
 from gnmodel.moments import _score
+from gnmodel.rng import complex_normals, moment_stream
 
 
 class TestGaussianEnsemble:
@@ -186,21 +187,45 @@ class TestStationaryProcessSet:
 
     def test_sample_at_repeated_and_aliased_bins_reuse_draws(self):
         procs = StationaryProcessSet.random(2, 2, 8, seed=3)
-        values = procs.sample_at([5, 5, 13, 2], trials=9, seed=10)
-        assert values.shape == (2, 4, 9)
+        rows = [(p, slot) for p in range(2) for slot in range(4)]
+        values = procs.sample_at([5, 5, 13, 2], rows, trials=9, seed=10)
+        assert values.shape == (8, 9)
+        values = values.reshape(2, 4, 9)
         np.testing.assert_array_equal(values[:, 0], values[:, 1])
         np.testing.assert_array_equal(values[:, 0], values[:, 2])  # 13 mod 8 = 5
         assert not np.array_equal(values[:, 0], values[:, 3])
-        again = procs.sample_at([5, 5, 13, 2], trials=9, seed=10)
-        np.testing.assert_array_equal(values, again)
+        again = procs.sample_at([5, 5, 13, 2], rows, trials=9, seed=10)
+        np.testing.assert_array_equal(values, again.reshape(2, 4, 9))
+
+        # reference: every process contracted at every distinct bin, then
+        # gathered back to slot order; each returned row is its exact bits
+        big = StationaryProcessSet.random(6, 4, 32, seed=1004)
+        for procs, bins, trials, seed in (
+                (procs, [5, 5, 13, 2], 9, 10),
+                (big, [7, 10, 10, 39, 12, 44], 5000, 7919)):  # 39, 44 alias
+            b = np.mod(np.asarray(bins), procs.grid_size)
+            uniq, inverse = np.unique(b, return_inverse=True)
+            sources = procs.filters.shape[1]
+            w = complex_normals(moment_stream(seed, 0),
+                                sources * uniq.size * trials)
+            w = w.reshape(sources, uniq.size, trials)
+            w /= math.sqrt(2.0)
+            full = np.einsum("psu,sut->put", procs.filters[:, :, uniq],
+                             w)[:, inverse, :]
+            rows = [(p, slot) for p in range(procs.num_processes)
+                    for slot in range(len(bins))][::-1]
+            values = procs.sample_at(bins, rows, trials, seed)
+            assert np.array_equal(values,
+                                  np.stack([full[p, slot] for p, slot in rows]))
 
     def test_sample_statistics_match_spectra(self):
         procs = StationaryProcessSet.random(3, 4, 16, seed=31)
         trials = 60_000
-        values = procs.sample_at([6], trials=trials, seed=77)
+        values = procs.sample_at([6], [(p, 0) for p in range(3)],
+                                 trials=trials, seed=77)
         for p in range(3):
             for q in range(3):
-                prod = values[p, 0] * np.conj(values[q, 0])
+                prod = values[p] * np.conj(values[q])
                 stderr = max(prod.real.std(ddof=1), prod.imag.std(ddof=1)) \
                     / math.sqrt(trials)
                 expected = complex(procs.spectrum(p, q)[6])
@@ -236,6 +261,8 @@ class TestTheoremChecks:
             theorem2_check(0, num_ensembles=1, trials=100, seed=0)
         with pytest.raises(ConfigError, match="k must be"):
             theorem2_check(9, num_ensembles=1, trials=100, seed=0)
+        with pytest.raises(ConfigError, match="at least 1 ensemble"):
+            theorem2_check(2, num_ensembles=0, trials=100, seed=0)
 
     def test_theorem2_battery_passes(self):
         report = theorem2_check(2, num_ensembles=3, trials=60_000, seed=2024)
@@ -268,6 +295,16 @@ class TestTheoremChecks:
         # every expected value is double-checked against the pairing sum
         for c in report.checks:
             assert c.formula_gap <= 1e-10 * max(abs(c.expected), 1.0)
+
+    def test_theorem2_thread_count_cannot_change_results(self):
+        one = theorem2_check(3, num_ensembles=5, trials=2000, seed=7, threads=1)
+        three = theorem2_check(3, num_ensembles=5, trials=2000, seed=7,
+                               threads=3)
+        assert len(one.checks) == len(three.checks) == 7
+        for a, b in zip(one.checks, three.checks):
+            assert a.name == b.name
+            assert a.estimate == b.estimate
+            assert a.stderr == b.stderr
 
     def test_theorem3_thread_count_cannot_change_results(self):
         procs = StationaryProcessSet.random(6, 2, 32, seed=21)
