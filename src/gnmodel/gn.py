@@ -28,13 +28,21 @@ first point are whole numbers of cells (within 1e-9 of a cell width) share
 one |eta|^2 table on that lattice, and each point sums over its n1 x n2
 slice of it.  The PSD factors are still sampled at each point's own
 coordinates f + f1, f + f2 and f + f1 + f2.  A run stops growing before its
-table would exceed twice one point's n1*n2 grid, and the table is filled in
-row blocks no larger than one point's grid, so memory stays within a small
-multiple of the per-point integrand.  A point at a fractional shift from
-the current run's first point starts a new run; a point that shares no
-lattice with a neighbour is a run of one, whose table is its own grid.
-Runs are the unit of work of the thread pool, so results do not depend on
-the thread count.
+table would exceed twice one point's n1*n2 grid.  A point at a fractional
+shift from the current run's first point starts a new run; a point that
+shares no lattice with a neighbour is a run of one, whose table is its own
+grid.  Runs are the unit of work of the thread pool, so results do not
+depend on the thread count.
+
+How a table is filled never changes its bits, because eta of an array is
+elementwise (``normalized_kernel_grid``):
+* when the axes are equal (every SPM run), f1 f2 == f2 f1 exactly, so only
+  the upper triangle with its diagonal is evaluated, then mirrored: about
+  half the table, so about one point's grid at most;
+* other tables are filled in row blocks no larger than one point's grid, so
+  memory stays within a small multiple of the per-point integrand;
+* on a dispersion-free link (``KernelModel.flat``) eta is one constant: it
+  is evaluated at one product and broadcast, and no table is evaluated.
 """
 from __future__ import annotations
 
@@ -175,6 +183,27 @@ def _runs(grid: np.ndarray, axes) -> list:
     return runs
 
 
+def _eta2_table(kernel, lat1, lat2, block_size):
+    """|eta(f1 f2)|^2 on the lattice lat1 x lat2, filled as the module
+    docstring describes: broadcast constant, mirrored triangle, or row
+    blocks of at most ``block_size`` elements."""
+    shape = (lat1.size, lat2.size)
+    if kernel.flat:
+        eta = normalized_kernel_grid(kernel, lat1[:1] * lat2[:1])
+        return np.broadcast_to(eta.real**2 + eta.imag**2, shape)
+    table = np.empty(shape)
+    if np.array_equal(lat1, lat2):
+        rows, cols = np.triu_indices(lat1.size)
+        eta = normalized_kernel_grid(kernel, lat1[rows] * lat1[cols])
+        table[rows, cols] = table[cols, rows] = eta.real**2 + eta.imag**2
+        return table
+    block = max(1, block_size // lat2.size)
+    for r in range(0, lat1.size, block):
+        eta = normalized_kernel_grid(kernel, lat1[r:r + block, None] * lat2[None, :])
+        table[r:r + block] = eta.real**2 + eta.imag**2
+    return table
+
+
 def _integrate_run(kernel, shapes, axes, grid, run) -> np.ndarray:
     """II |eta(f1 f2)|^2 main(f+f1) partner(f+f2) third(f+f1+f2) df1 df2 at
     every point f of one run, from one |eta|^2 table on the run's lattice."""
@@ -188,11 +217,7 @@ def _integrate_run(kernel, shapes, axes, grid, run) -> np.ndarray:
     # point shifted by (c1, c2) cells sits at (top1 - c1 + i, top2 - c2 + j)
     lat1 = (lo1 - f0) + (np.arange(n1 + top1 - min(s1)) + 0.5 - top1) * h1
     lat2 = (lo2 - f0) + (np.arange(n2 + top2 - min(s2)) + 0.5 - top2) * h2
-    table = np.empty((lat1.size, lat2.size))
-    block = max(1, (n1 * n2) // lat2.size)
-    for r in range(0, lat1.size, block):
-        eta = normalized_kernel_grid(kernel, lat1[r:r + block, None] * lat2[None, :])
-        table[r:r + block] = eta.real**2 + eta.imag**2
+    table = _eta2_table(kernel, lat1, lat2, n1 * n2)
     values = np.empty(len(idx))
     for j, (k, c1, c2) in enumerate(zip(idx, s1, s2)):
         f = float(grid[k])

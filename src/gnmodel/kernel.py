@@ -85,6 +85,10 @@ class KernelModel:
 
     ``k0`` is K(0) in 1/W, real and positive for any physical link; it is the
     normalizer of eta and, scaled by P0, the cumulated nonlinear phase.
+    ``flat`` is derived from the link like ``k0``: it is True when every
+    span has beta2 = 0 and starts at zero cumulated dispersion (so no
+    pre-dispersion either).  Every span term of the closed form then equals
+    its F = 0 value bit for bit, so K(F) == K(0) and eta is one constant.
     ``quadrature_tolerance`` is the relative tolerance of the adaptive check
     evaluator; ``max_cells_per_span`` bounds its refinement budget.
     """
@@ -93,6 +97,7 @@ class KernelModel:
     quadrature_tolerance: float = 1e-10
     max_cells_per_span: int = 1 << 21
     k0: complex = field(init=False)
+    flat: bool = field(init=False)
 
     def __post_init__(self):
         spans = self.link.spans
@@ -104,6 +109,7 @@ class KernelModel:
         self._g0 = self.link.start_gain
         self._c0 = self.link.start_dispersion_s2
         self.k0 = complex(kernel_closed_form(self, 0.0))
+        self.flat = bool(np.all(self._beta2 == 0.0) and np.all(self._c0 == 0.0))
 
 
 def kernel_closed_form(model: KernelModel, F):
@@ -215,15 +221,17 @@ def normalized_kernel(model: KernelModel, F: float) -> complex:
 
 
 def normalized_kernel_grid(model: KernelModel, F):
-    """Vectorized eta over an array of F values.
+    """Vectorized eta over an array of F values, elementwise.
 
-    Deduplicates F through ``np.unique`` so repeated products (ubiquitous on
-    quadrature grids, where F = f1*f2) are evaluated once.
+    No deduplication: each value depends on its own F only, not on its
+    position or on the other elements, so any split or reordering of F
+    gives the same bits; callers that know of repeated products (symmetric
+    tables, a ``model.flat`` link) evaluate them once themselves.  On a flat
+    link every element is K(0)/K(0) as the division rounds it: 1+0j for most
+    links, 1 - 2**-53 for some.
     """
     F = np.asarray(F, dtype=float)
-    uniq, inverse = np.unique(F.ravel(), return_inverse=True)
-    vals = kernel_closed_form(model, uniq) / model.k0
-    return vals[inverse].reshape(F.shape)
+    return (kernel_closed_form(model, F.ravel()) / model.k0).reshape(F.shape)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ return.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -335,17 +336,17 @@ def _kron(value: int, n_grid: int) -> float:
     return 1.0 if value % n_grid == 0 else 0.0
 
 
-def _six_term_formula(procs: StationaryProcessSet, pattern, f: int, u: int,
+def _six_term_formula(spectrum, n: int, pattern, f: int, u: int,
                       offsets) -> complex:
-    """Literal six-term Theorem 3 value with Kronecker deltas (mod N)."""
-    n = procs.grid_size
+    """Literal six-term Theorem 3 value with Kronecker deltas (mod N), from
+    ``spectrum(p, q)``, the G_pq table over all N bins."""
     pa, pb, pc, pd, pe, pf = pattern
     f1, f2, f3, f4 = offsets
     if (u - f) % n != 0:
         return 0.0 + 0.0j
 
     def g(p, q, nu):
-        return complex(procs.spectrum(p, q)[nu % n])
+        return complex(spectrum(p, q)[nu % n])
 
     total = 0.0 + 0.0j
     total += g(pa, pb, f + f1) * g(pc, pd, f) * g(pe, pf, f + f4) \
@@ -369,13 +370,13 @@ def _slot_bins(f: int, u: int, offsets, n_grid: int):
                             u + f3, u + f3 + f4, u + f4]), n_grid)
 
 
-def _pairing_reference(procs: StationaryProcessSet, pattern, bins) -> complex:
+def _pairing_reference(spectrum, pattern, bins) -> complex:
     """Independent exact value: CGMT pairing sum on the six slot variables."""
     cov = np.zeros((6, 6), dtype=complex)
     for i in range(6):
         for j in range(6):
             if bins[i] == bins[j]:
-                cov[i, j] = procs.spectrum(pattern[i], pattern[j])[bins[i]]
+                cov[i, j] = spectrum(pattern[i], pattern[j])[bins[i]]
     spec = MomentSpec(conjugated=(1, 3, 5), unconjugated=(0, 2, 4))
     return _pairing_sum(cov, spec)
 
@@ -496,8 +497,11 @@ def theorem3_discrete_check(processes: StationaryProcessSet, trials: int,
     def run(idx):
         name, procs, pattern, ff, uu, offsets = configs[idx]
         bins = _slot_bins(ff, uu, offsets, procs.grid_size)
-        expected = _six_term_formula(procs, pattern, ff, uu, offsets)
-        reference = _pairing_reference(procs, pattern, bins)
+        # one G_pq table per pair for the check, shared by both exact values
+        spectrum = functools.cache(procs.spectrum)
+        expected = _six_term_formula(spectrum, procs.grid_size, pattern, ff,
+                                     uu, offsets)
+        reference = _pairing_reference(spectrum, pattern, bins)
         gap = abs(expected - reference)
         est, stderr = _six_product_mc(procs, pattern, bins, trials,
                                       seed + 7919 * idx)

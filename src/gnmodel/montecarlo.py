@@ -40,6 +40,10 @@ product is restricted to the PSD supports, and eta is evaluated once per
 request on the integer products m (i-k) the blocks use.  BLAS does any
 parallel work.
 
+Draws: each request moves one Philox generator from stream to stream
+(``rng.FieldStreams``) instead of building one per trial and polarization;
+the stream keys, and so every draw, are those of ``rng.field_stream``.
+
 Result contract: the per-trial values depend on the shape of the arrays they
 are computed in, because NumPy's complex products and the GEMM round
 differently by row count.  Trials are therefore always processed in fixed
@@ -58,7 +62,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernel import KernelModel, normalized_kernel_grid
-from .rng import POL_X, POL_Y, complex_normals, field_stream
+from .rng import POL_X, POL_Y, FieldStreams, complex_normals
 from .spectra import DualPolPsd, PsdShape, phase_rotation_weight
 
 __all__ = [
@@ -193,25 +197,25 @@ def _line_amplitudes(cfg: TrialConfig, shape: PsdShape) -> np.ndarray:
     return np.sqrt(ghat / cfg.spacing_hz) / math.sqrt(2.0)
 
 
-def _draw_rows(cfg: TrialConfig, amps: np.ndarray, pol_tag: int,
+def _draw_rows(streams: FieldStreams, amps: np.ndarray, pol_tag: int,
                trial_lo: int, trial_hi: int) -> np.ndarray:
     """Line matrix (trials, lines) for one polarization, one trial range."""
-    count = cfg.grid_indices.size
-    out = np.empty((trial_hi - trial_lo, count), dtype=complex)
+    out = np.empty((trial_hi - trial_lo, amps.size), dtype=complex)
     for t in range(trial_lo, trial_hi):
-        out[t - trial_lo] = complex_normals(field_stream(cfg.seed, t, pol_tag),
-                                            count) * amps
+        out[t - trial_lo] = complex_normals(streams.at(t, pol_tag),
+                                            amps.size) * amps
     return out
 
 
 def draw_field(cfg: TrialConfig, psd: DualPolPsd, trial_index: int) -> SpectralField:
     """The spectral-line field of one trial (bit-reproducible per index)."""
+    streams = FieldStreams(cfg.seed)
     amps_x = _line_amplitudes(cfg, psd.gx)
     amps_y = _line_amplitudes(cfg, psd.gy)
     return SpectralField(
         spacing_hz=cfg.spacing_hz,
-        lines_x=_draw_rows(cfg, amps_x, POL_X, trial_index, trial_index + 1)[0],
-        lines_y=_draw_rows(cfg, amps_y, POL_Y, trial_index, trial_index + 1)[0],
+        lines_x=_draw_rows(streams, amps_x, POL_X, trial_index, trial_index + 1)[0],
+        lines_y=_draw_rows(streams, amps_y, POL_Y, trial_index, trial_index + 1)[0],
     )
 
 
@@ -351,6 +355,7 @@ def _per_trial_values(cfg, psd, kernel):
     other_amps = _line_amplitudes(cfg, psd.gy)
     sums = _shift_sums(cfg, psd, kernel)
     pt_d = phase_rotation_weight(*discrete_powers(cfg, psd))
+    streams = FieldStreams(cfg.seed)
 
     trials = cfg.num_trials
     count = cfg.grid_indices.size
@@ -359,8 +364,8 @@ def _per_trial_values(cfg, psd, kernel):
 
     for t0 in range(0, trials, _CHUNK_TRIALS):
         t1 = min(t0 + _CHUNK_TRIALS, trials)
-        main = _draw_rows(cfg, main_amps, POL_X, t0, t1)
-        other = _draw_rows(cfg, other_amps, POL_Y, t0, t1)
+        main = _draw_rows(streams, main_amps, POL_X, t0, t1)
+        other = _draw_rows(streams, other_amps, POL_Y, t0, t1)
         b = _perturbation_rows(main, other, sums)
         v_rp1[t0:t1] = f0 * (b.real**2 + b.imag**2)
         e = b - pt_d * main

@@ -6,7 +6,9 @@ goes into the key, and the identifying indices (trial number, polarization,
 check number, ...) go into the high counter words.  Distinct index tuples can
 never overlap (draws only advance the low word), so trials may be computed in
 any order, in any number of worker threads, and still produce bit-identical
-results.
+results.  Because a stream is fully named by its key and counter, one
+generator can serve many streams by being moved between them
+(``FieldStreams``): the stream keys, and so the draws, stay the same.
 """
 from __future__ import annotations
 
@@ -31,6 +33,31 @@ def field_stream(seed: int, trial_index: int, pol_tag: int) -> Generator:
     """
     bits = Philox(key=seed, counter=[0, _DOMAIN_FIELD, trial_index, pol_tag])
     return Generator(bits)
+
+
+class FieldStreams:
+    """Every field stream of one seed, served by one reusable generator.
+
+    ``at(trial_index, pol_tag)`` moves the generator to the start of that
+    stream: the key and counter of ``field_stream`` with an empty output
+    buffer, which is the state a newly built generator starts in.  Its draws
+    are therefore bit-identical to those of ``field_stream(seed,
+    trial_index, pol_tag)``, without building and seeding one Philox
+    generator per (trial, polarization).  The generator is shared by every
+    ``at`` call, so one object serves one thread.
+    """
+
+    def __init__(self, seed: int):
+        bits = Philox(key=seed)
+        self._generator = Generator(bits)
+        # a copy of the new generator's state, kept unchanged but for the
+        # counter: empty output buffer, no pending 32-bit half
+        self._fresh = bits.state
+
+    def at(self, trial_index: int, pol_tag: int) -> Generator:
+        self._fresh["state"]["counter"] = [0, _DOMAIN_FIELD, trial_index, pol_tag]
+        self._generator.bit_generator.state = self._fresh
+        return self._generator
 
 
 def moment_stream(seed: int, check_index: int) -> Generator:

@@ -107,13 +107,12 @@ class RaisedCosinePsd(PsdShape):
         flat_edge = 0.5 * (1.0 - self.rolloff) * self.bandwidth_hz
         outer_edge = 0.5 * (1.0 + self.rolloff) * self.bandwidth_hz
         if self.rolloff == 0.0:
-            vals = np.where(x < outer_edge, self.height, 0.0)
-        else:
-            ramp = np.clip(x - flat_edge, 0.0, None)
-            cos_arg = np.pi * ramp / (self.rolloff * self.bandwidth_hz)
-            roll = 0.5 * self.height * (1.0 + np.cos(cos_arg))
-            vals = np.where(x <= flat_edge, self.height,
-                            np.where(x < outer_edge, roll, 0.0))
+            return _scalar_like(f, np.where(x < outer_edge, self.height, 0.0))
+        vals = np.where(x <= flat_edge, self.height, 0.0)
+        # the cosine is taken on the rolloff band only, where x - flat_edge > 0
+        band = (flat_edge < x) & (x < outer_edge)
+        cos_arg = np.pi * (x[band] - flat_edge) / (self.rolloff * self.bandwidth_hz)
+        vals[band] = 0.5 * self.height * (1.0 + np.cos(cos_arg))
         return _scalar_like(f, vals)
 
     def power_integral(self) -> float:

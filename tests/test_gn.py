@@ -1,14 +1,17 @@
 """GN engine: phase identity, analytic oracle, independent reassembly."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
-                     RaisedCosinePsd, RectangularPsd, Span, nli_psd_x,
+                     RaisedCosinePsd, RectangularPsd, Span, gn, nli_psd_x,
                      nli_psd_y, phase_term_coefficient)
 from gnmodel.gn import _cell_axis, _runs
-from gnmodel.kernel import normalized_kernel_grid
+from gnmodel.kernel import kernel_closed_form, normalized_kernel_grid
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
 
@@ -226,3 +229,65 @@ class TestEngineContracts:
             self.request(output_grid_hz=np.array([]))
         with pytest.raises(ValueError, match="step"):
             self.request(inner_grid_step_hz=0.0)
+
+
+def deduplicated_row_block_table(kernel, lat1, lat2, block_size):
+    """The |eta|^2 table fill the engine replaced: row blocks of at most
+    ``block_size`` elements, each deduplicated through ``np.unique``, with
+    no triangle and no dispersion-free shortcut."""
+    table = np.empty((lat1.size, lat2.size))
+    block = max(1, block_size // lat2.size)
+    for r in range(0, lat1.size, block):
+        F = lat1[r:r + block, None] * lat2[None, :]
+        uniq, inverse = np.unique(F.ravel(), return_inverse=True)
+        eta = (kernel_closed_form(kernel, uniq) / kernel.k0)[inverse]
+        table[r:r + block] = (eta.real**2 + eta.imag**2).reshape(F.shape)
+    return table
+
+
+LINKS = {
+    "single": LinkProfile(spans=(lossy_span(),)),
+    "three": LinkProfile(spans=(
+        Span(80e3, ALPHA, -21.7e-27, 1.3e-3, 16.0),
+        Span(60e3, 1.25 * ALPHA, 5.1e-27, 1.8e-3, 15.0),
+        Span(100e3, 0.9 * ALPHA, -16.0e-27, 1.1e-3, 18.0)), xi_pre_s2=3e-24),
+    "flat": LinkProfile(spans=(lossy_span(beta2=0.0),)),
+}
+
+
+@st.composite
+def small_gn_inputs(draw):
+    """Small raised-cosine and rectangular requests on the three links; the
+    grid step is sometimes a whole number of cells, so runs share tables."""
+    def shape():
+        center = draw(st.floats(-1e9, 1e9))
+        bandwidth = draw(st.floats(3e9, 8e9))
+        height = draw(st.floats(0.1, 2.0))
+        if draw(st.booleans()):
+            return RectangularPsd(center, bandwidth, height)
+        rolloff = draw(st.sampled_from([0.0, 1e-3, 0.3, 1.0])
+                       | st.floats(0.0, 1.0))
+        return RaisedCosinePsd(center, bandwidth, rolloff, height)
+
+    gx = shape()
+    gy = gx if draw(st.booleans()) else shape()
+    widths = [s.support[1] - s.support[0] for s in (gx, gy)]
+    step = min(widths) / draw(st.sampled_from([16, 19, 24]))
+    spacing = step * draw(st.sampled_from([1.0, 2.0, 0.37]))
+    grid = draw(st.floats(-2e9, 2e9)) \
+        + spacing * np.arange(draw(st.integers(1, 6)))
+    kernel = KernelModel(link=LINKS[draw(st.sampled_from(sorted(LINKS)))])
+    return GnRequest(psd=DualPolPsd(gx, gy, 1e-3), kernel=kernel,
+                     output_grid_hz=grid, inner_grid_step_hz=step)
+
+
+class TestTableFillBitContract:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(req=small_gn_inputs())
+    def test_psd_equals_deduplicated_row_block_fill(self, req):
+        result = nli_psd_x(req)
+        with mock.patch.object(gn, "_eta2_table", deduplicated_row_block_table):
+            reference = nli_psd_x(req)
+        np.testing.assert_array_equal(result.spm, reference.spm)
+        np.testing.assert_array_equal(result.xpolm, reference.xpolm)
+        np.testing.assert_array_equal(result.total, reference.total)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gnmodel import (KernelConvergenceError, KernelModel, LinkProfile, Span,
                      kernel_closed_form, kernel_quadrature, nonlinear_phase,
@@ -29,6 +32,39 @@ def multi_span_model(**kwargs):
     )
     return KernelModel(link=LinkProfile(spans=spans, xi_pre_s2=3.0e-24),
                        **kwargs)
+
+
+# property tests of the bit contract: reproducible and bounded
+BIT_CONTRACT = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=30)
+
+# F of both signs over the full range, with the edge values drawn explicitly
+F_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e30, -1e30]),
+                     st.floats(-1e30, 1e30, allow_nan=False))
+F_ARRAYS = hnp.arrays(float, st.integers(1, 300), elements=F_VALUES)
+
+# links without dispersion: 1-4 spans, lossless spans included, no
+# pre-dispersion
+FLAT_SPANS = st.builds(
+    Span,
+    length_m=st.floats(1e3, 1.5e5),
+    alpha_per_m=st.sampled_from([0.0, ALPHA]) | st.floats(0.0, 3 * ALPHA),
+    beta2_s2_per_m=st.just(0.0),
+    gamma_per_w_m=st.floats(1e-4, 3e-3),
+    lumped_gain_db=st.floats(0.0, 20.0),
+)
+FLAT_LINKS = st.builds(LinkProfile, spans=st.lists(FLAT_SPANS, min_size=1,
+                                                   max_size=4).map(tuple))
+
+
+def lossless_span_model():
+    span = Span(length_m=80e3, alpha_per_m=0.0, beta2_s2_per_m=-21.7e-27,
+                gamma_per_w_m=1.3e-3)
+    return KernelModel(link=LinkProfile(spans=(span,)))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
 
 
 def _reference_series(z):
@@ -168,6 +204,74 @@ class TestNormalizedKernel:
         model = multi_span_model()
         eta = normalized_kernel_grid(model, np.logspace(15, 23, 200))
         assert np.all(np.abs(eta) <= 1.0 + 1e-12)
+
+
+class TestGridBitContract:
+    """normalized_kernel_grid is elementwise to the bit, and a constant on a
+    dispersion-free link; the GN tables rely on both."""
+
+    @BIT_CONTRACT
+    @given(link=FLAT_LINKS, F=F_ARRAYS)
+    def test_flat_link_kernel_is_k0_and_eta_one_constant(self, link, F):
+        model = KernelModel(link=link)
+        assert model.flat
+        K = kernel_closed_form(model, F)
+        assert np.array_equal(_bits(K), _bits(np.full(F.shape, model.k0)))
+        eta = normalized_kernel_grid(model, F)
+        assert eta.shape == F.shape
+        # one constant, which the GN engine evaluates at a single product
+        one = normalized_kernel_grid(model, F[:1])
+        assert np.array_equal(_bits(eta), _bits(np.full(F.shape, one[0])))
+        # 1+0j up to the last bit of the division; +0 imaginary
+        assert np.all(eta.real >= np.nextafter(1.0, 0.0)) \
+            and np.all(eta.real <= 1.0)
+        assert np.all(eta.imag == 0.0) and not np.any(np.signbit(eta.imag))
+
+    def test_flat_eta_is_the_evaluated_ratio(self):
+        # criterion 2's span.  The array division K(0)/K(0) is not assumed
+        # to give 1+0j: NumPy divides by multiplying with a reciprocal, and
+        # on this span the constant has been seen to round to 1 - 2**-53,
+        # so writing exact ones would move output bits of such links
+        span = Span(length_m=80e3, alpha_per_m=ALPHA, beta2_s2_per_m=0.0,
+                    gamma_per_w_m=1.3e-3)
+        model = KernelModel(link=LinkProfile(spans=(span,)))
+        F = np.array([0.0, -3e20, 1e30])
+        assert np.array_equal(_bits(normalized_kernel_grid(model, F)),
+                              _bits(kernel_closed_form(model, F) / model.k0))
+        assert normalized_kernel(model, 0.0) == 1.0 + 0.0j
+
+    def test_flat_needs_zero_beta2_and_zero_pre_dispersion(self):
+        flat = Span(length_m=80e3, alpha_per_m=ALPHA, beta2_s2_per_m=0.0,
+                    gamma_per_w_m=1.3e-3)
+        assert KernelModel(link=LinkProfile(spans=(flat,))).flat
+        assert not KernelModel(link=LinkProfile(
+            spans=(flat,), xi_pre_s2=1e-27)).flat
+        assert not single_span_model().flat
+        assert not multi_span_model().flat
+
+    @BIT_CONTRACT
+    @given(F=F_ARRAYS, lossless=st.booleans())
+    def test_grid_values_do_not_depend_on_position(self, F, lossless):
+        # the lossless span mixes series and direct branches within a call
+        model = lossless_span_model() if lossless else multi_span_model()
+        whole = normalized_kernel_grid(model, F)
+        chunks = np.concatenate([normalized_kernel_grid(model, F[i:i + 7])
+                                 for i in range(0, F.size, 7)])
+        reverse = normalized_kernel_grid(model, F[::-1])[::-1]
+        assert np.array_equal(_bits(chunks), _bits(whole))
+        assert np.array_equal(_bits(reverse), _bits(whole))
+
+    @BIT_CONTRACT
+    @given(lat=hnp.arrays(float, st.integers(1, 40),
+                          elements=st.floats(-4e10, 4e10)),
+           lossless=st.booleans())
+    def test_triangle_equals_whole_table(self, lat, lossless):
+        model = lossless_span_model() if lossless else multi_span_model()
+        whole = normalized_kernel_grid(model, lat[:, None] * lat[None, :])
+        rows, cols = np.triu_indices(lat.size)
+        tri = normalized_kernel_grid(model, lat[rows] * lat[cols])
+        assert np.array_equal(_bits(whole[rows, cols]), _bits(tri))
+        assert np.array_equal(_bits(whole[cols, rows]), _bits(tri))
 
 
 class TestNonlinearPhase:

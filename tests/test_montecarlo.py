@@ -13,6 +13,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gnmodel
 from gnmodel import (ConfigError, DualPolPsd, KernelModel, LinkProfile,
@@ -21,6 +23,7 @@ from gnmodel import (ConfigError, DualPolPsd, KernelModel, LinkProfile,
                      erp1_perturbation, estimate_nli_psd, in_band_mask,
                      normalized_kernel, rp1_perturbation, run_paired_trials,
                      validate_grid_coverage)
+from gnmodel.rng import POL_X, POL_Y, FieldStreams, complex_normals, field_stream
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
 
@@ -119,6 +122,42 @@ class TestDrawField:
         n = sq.size
         assert abs(sq.mean() - 1.0) < 4.0 / math.sqrt(n)
         assert abs(raw.mean()) < 4.0 / math.sqrt(n)
+
+
+class TestFieldStreams:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**64 - 1),
+           # Philox(counter=[...]) in field_stream goes through a float64
+           # array for words >= 2**63, so trial indices stay in int64 range,
+           # which holds every trial a request can run
+           keys=st.lists(st.tuples(st.integers(0, 2**63 - 1),
+                                   st.sampled_from([POL_X, POL_Y]),
+                                   st.integers(1, 70), st.integers(0, 3)),
+                         min_size=1, max_size=8))
+    def test_reused_generator_equals_field_stream(self, seed, keys):
+        # after a partly used 64-bit buffer and a pending 32-bit half, the
+        # next stream must still start where a new generator starts
+        streams = FieldStreams(seed)
+        for trial, pol, count, extra in keys:
+            got = streams.at(trial, pol)
+            want = field_stream(seed, trial, pol)
+            np.testing.assert_array_equal(complex_normals(got, count),
+                                          complex_normals(want, count))
+            got.integers(0, 2**31, size=extra, dtype=np.uint32)
+            got.random(extra)
+
+    def test_draw_field_uses_the_field_stream_keys(self):
+        cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=3, seed=11)
+        psd = DualPolPsd(RectangularPsd(0.0, 9e9, 1.0),
+                         RectangularPsd(1e9, 6e9, 0.5), 1e-3)
+        amps = [np.sqrt(shape.evaluate(cfg.frequencies_hz) / cfg.spacing_hz)
+                / math.sqrt(2.0) for shape in (psd.gx, psd.gy)]
+        for t in range(cfg.num_trials):
+            field = draw_field(cfg, psd, t)
+            for lines, pol, amp in ((field.lines_x, POL_X, amps[0]),
+                                    (field.lines_y, POL_Y, amps[1])):
+                ref = complex_normals(field_stream(11, t, pol), 17) * amp
+                np.testing.assert_array_equal(lines, ref)
 
 
 class TestPerturbationOracle:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gnmodel import (ConfigError, DualPolPsd, RaisedCosinePsd, RectangularPsd,
                      TabulatedPsd, phase_rotation_weight)
@@ -75,6 +78,48 @@ class TestRaisedCosine:
             with pytest.raises(ValueError, match=name):
                 RaisedCosinePsd(**{"center_hz": 0.0, "bandwidth_hz": 1.0,
                                    "rolloff": 0.2, "height": 1.0, **bad})
+
+
+def clip_where_raised_cosine(shape, f):
+    """The raised-cosine formula that took the cosine of every element,
+    kept as the bit reference of ``RaisedCosinePsd.evaluate``."""
+    x = np.abs(np.asarray(f, dtype=float) - shape.center_hz)
+    flat_edge = 0.5 * (1.0 - shape.rolloff) * shape.bandwidth_hz
+    outer_edge = 0.5 * (1.0 + shape.rolloff) * shape.bandwidth_hz
+    if shape.rolloff == 0.0:
+        return np.where(x < outer_edge, shape.height, 0.0)
+    ramp = np.clip(x - flat_edge, 0.0, None)
+    cos_arg = np.pi * ramp / (shape.rolloff * shape.bandwidth_hz)
+    roll = 0.5 * shape.height * (1.0 + np.cos(cos_arg))
+    return np.where(x <= flat_edge, shape.height,
+                    np.where(x < outer_edge, roll, 0.0))
+
+
+class TestRaisedCosineBandOnly:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(center=st.sampled_from([0.0, 1e9]) | st.floats(-5e9, 5e9),
+           bandwidth=st.floats(1e9, 5e10),
+           rolloff=st.sampled_from([0.0, 1e-3, 1.0]) | st.floats(0.0, 1.0),
+           height=st.floats(0.0, 10.0),
+           u=hnp.arrays(float, st.integers(0, 300),
+                        elements=st.floats(-1.5, 1.5)))
+    def test_equals_clip_where_formula(self, center, bandwidth, rolloff,
+                                       height, u):
+        shape = RaisedCosinePsd(center, bandwidth, rolloff, height)
+        lo, hi = shape.support
+        edges = np.array([0.0, 0.5 * (1.0 - rolloff) * bandwidth,
+                          0.5 * (1.0 + rolloff) * bandwidth])
+        # the center and both edges (exactly so when the center is 0), then
+        # points spread over and beyond the support
+        f = np.concatenate([center + edges, center - edges,
+                            center + u * (hi - lo)])
+        got = shape.evaluate(f)
+        assert np.array_equal(got, clip_where_raised_cosine(shape, f))
+        for value in f[:6]:
+            scalar = shape.evaluate(float(value))
+            assert type(scalar) is float
+            assert scalar == clip_where_raised_cosine(shape, value)
 
 
 class TestTabulated:
