@@ -39,6 +39,7 @@ from .moments import (StationaryProcessSet, abs_z_score,
                       theorem1_discrete_check, theorem2_check,
                       theorem3_discrete_check)
 from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
+from .parallel import ordered_map
 from .version import __version__
 
 __all__ = ["run", "main"]
@@ -69,8 +70,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--output", required=True,
                         help="output file (written atomically)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker count of the GN integral and of the "
-                             "theorem-2 ensembles and theorem-3 checks; never "
+                        help="worker count of the GN integral, the kernel "
+                             "quadrature points and the moment checks; never "
                              "affects results")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,8 +104,8 @@ def _build_parser() -> _Parser:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):    # NumPy float64 too: repr names its type
+        return repr(float(value))
     return str(value)
 
 
@@ -165,8 +166,26 @@ def _run_kernel(args, cfg: RunConfig):
         k_values = kernel_closed_form(model, grid)
         k0 = model.k0
     else:
-        k_values = np.array([kernel_quadrature(model, f) for f in grid])
-        k0 = kernel_quadrature(model, 0.0)
+        # each point is a pure function of (model, F), so order moves no bit;
+        # F = 0 (the normalizer) rides last.  Workers start with the dearest
+        # (largest |F|, most cells); one thread keeps grid order (faster)
+        points = [*grid, 0.0]
+
+        def point(i):
+            try:
+                return kernel_quadrature(model, points[i])
+            except KernelConvergenceError as exc:
+                return exc
+
+        order = range(len(points))
+        if args.threads > 1:
+            order = sorted(order, key=lambda i: -abs(points[i]))
+        done = dict(zip(order, ordered_map(point, order, args.threads)))
+        values = [done[i] for i in range(len(points))]
+        for value in values:    # the serial loop's error: first in grid order
+            if isinstance(value, KernelConvergenceError):
+                raise value
+        k_values, k0 = np.array(values[:-1]), values[-1]
     eta = k_values / k0
 
     resolved = dict(cfg.resolved)
@@ -254,7 +273,7 @@ def _run_moments(args, cfg: RunConfig):
             params["grid_size"], params["seed"] + 997)
         if theorem == 1:
             report = theorem1_discrete_check(processes, params["trials"],
-                                             params["seed"])
+                                             params["seed"], threads=threads)
         else:
             report = theorem3_discrete_check(processes, params["trials"],
                                              params["seed"], threads=threads)

@@ -390,8 +390,9 @@ def _six_product_mc(procs, pattern, bins, trials, seed):
 
 
 def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
-                            seed: int) -> CheckReport:
-    """Spectral uncorrelatedness: E[Xp(nu) Xq*(mu)] = G_pq(nu) kron(nu-mu)."""
+                            seed: int, threads: int = 1) -> CheckReport:
+    """Spectral uncorrelatedness: E[Xp(nu) Xq*(mu)] = G_pq(nu) kron(nu-mu);
+    the checks run on ``threads`` workers, each from its own seed."""
     processes.validate_spectra()
     p_max = processes.num_processes - 1
     configs = [
@@ -400,16 +401,18 @@ def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
         ("t1-auto-offdiagonal", 0, 0, 3, 9),
         ("t1-cross-offdiagonal", min(2, p_max), min(1, p_max), 7, 20),
     ]
-    report = CheckReport()
-    for idx, (name, p, q, nu, mu) in enumerate(configs):
+
+    def run(idx):
+        name, p, q, nu, mu = configs[idx]
         bins = np.mod(np.array([nu, mu]), processes.grid_size)
         x_p, x_q = processes.sample_at(bins, [(p, 0), (q, 1)], trials,
                                        seed + idx)
         est, stderr = _mean_stderr(x_p * np.conj(x_q))
         expected = complex(processes.spectrum(p, q)[bins[0]]) \
             if bins[0] == bins[1] else 0.0 + 0.0j
-        report.checks.append(_score(name, est, stderr, expected))
-    return report
+        return _score(name, est, stderr, expected)
+
+    return CheckReport(checks=ordered_map(run, range(len(configs)), threads))
 
 
 def theorem2_check(k: int, num_ensembles: int, trials: int, seed: int,

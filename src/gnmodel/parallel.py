@@ -4,7 +4,9 @@ Results come back in item order and each task computes the same thing on
 any thread, so a result never depends on the thread count: callers give
 every task its own inputs and random stream and collect the returned list.
 The work overlaps only where NumPy releases the GIL (Philox fills, einsum,
-BLAS, array arithmetic).
+BLAS, array arithmetic).  Workers take items in the order given, so a caller
+whose tasks differ in cost may pass them dearest first and scatter the
+results back to its own order; the values cannot change.
 """
 from __future__ import annotations
 

@@ -5,8 +5,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from gnmodel import (GnRequest, KernelModel, TrialConfig, estimate_nli_psd,
-                     kernel_closed_form, load_config, nli_psd_x)
+from gnmodel import (GnRequest, KernelConvergenceError, KernelModel,
+                     TrialConfig, estimate_nli_psd, kernel_closed_form,
+                     kernel_quadrature, load_config, nli_psd_x)
 from gnmodel.cli import main, run
 
 CONFIG = """
@@ -40,6 +41,20 @@ montecarlo:
 moments:
   trials: 2000
   seed: 11
+"""
+
+
+# acceptance criterion 1's 3-span link
+THREE_SPAN = """
+link:
+  xi_pre_ps2: 3.0
+  spans:
+    - {length_km: 80.0, alpha_db_per_km: 0.2, beta2_ps2_per_km: -21.7,
+       gamma_per_w_km: 1.3, lumped_gain_db: 16.0}
+    - {length_km: 60.0, alpha_db_per_km: 0.25, beta2_ps2_per_km: 5.1,
+       gamma_per_w_km: 1.8, lumped_gain_db: 15.0}
+    - {length_km: 100.0, alpha_db_per_km: 0.18, beta2_ps2_per_km: -16.0,
+       gamma_per_w_km: 1.1, lumped_gain_db: 18.0}
 """
 
 
@@ -127,13 +142,50 @@ class TestKernelCommand:
         """)
         path = tmp_path / "tight.yaml"
         path.write_text(text)
+        # every point fails.  Dearest first, the largest F fails first (phase
+        # criterion); the error reported is still the smallest F's, the
+        # first failure of a serial loop over the grid
+        model = KernelModel(load_config(str(path)).require_link(),
+                            max_cells_per_span=64)
+        with pytest.raises(KernelConvergenceError) as serial:
+            for f in np.logspace(16, math.log10(3e22), 3):
+                kernel_quadrature(model, f)
+        expected = f"gnmodel: convergence failure: {serial.value}\n"
+        assert "tolerance" in expected
         out = tmp_path / "never.csv"
-        code = run(["--config", str(path), "--output", str(out), "kernel",
-                    "--f-min-hz2", "1e16", "--f-max-hz2", "3e22",
-                    "--points", "3", "--method", "quadrature"])
-        assert code == 2
-        assert not out.exists()
-        assert "convergence failure" in capsys.readouterr().err
+        for threads in ("1", "4"):
+            code = run(["--config", str(path), "--output", str(out),
+                        "--threads", threads, "kernel",
+                        "--f-min-hz2", "1e16", "--f-max-hz2", "3e22",
+                        "--points", "3", "--method", "quadrature"])
+            assert code == 2
+            assert not out.exists()
+            assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("grid", [
+        ("--f-min-hz2", "1e16", "--f-max-hz2", "3e22", "--points", "9"),
+        # both signs: largest |F| first is not grid order
+        ("--f-min-hz2=-8e21", "--f-max-hz2", "1.2e22", "--points", "6",
+         "--spacing", "linear"),
+    ])
+    def test_quadrature_thread_count_is_byte_invisible(self, tmp_path, grid):
+        path = tmp_path / "three_span.yaml"
+        path.write_text(textwrap.dedent(THREE_SPAN))
+        outputs = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"q{threads}.csv"
+            assert run(["--config", str(path), "--output", str(out),
+                        "--threads", threads, "kernel", *grid,
+                        "--method", "quadrature"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        # and each row holds its own F's value, as a serial loop gives it
+        _, columns, rows = read_table(out)
+        model = KernelModel(load_config(str(path)).require_link())
+        serial = np.array([kernel_quadrature(model, f)
+                           for f in column(rows, columns, "F_Hz2")])
+        assert np.array_equal(column(rows, columns, "re_K"), serial.real)
+        assert np.array_equal(column(rows, columns, "im_K"), serial.imag)
 
 
 class TestPsdCommand:
@@ -259,6 +311,13 @@ class TestMomentsCommand:
         assert all(r[1] == "pass" for r in rows)
         assert len(rows) == 22  # 20 ensembles + two classics
         assert comments[-1].startswith("# RESULT: PASS (checks = 22")
+        # every field is plain data: a verdict, or a number float() reads
+        # (a NumPy scalar's repr, np.float64(...), would not parse)
+        for row in rows:
+            assert len(row) == len(columns)
+            assert row[1] in ("pass", "FAIL")
+            for value in row[2:]:
+                float(value)
 
     def test_statistical_failure_exits_3_but_writes_report(self, tmp_path):
         # two trials give an honestly unstable estimate; this frozen seed

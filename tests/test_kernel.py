@@ -57,6 +57,27 @@ FLAT_LINKS = st.builds(LinkProfile, spans=st.lists(FLAT_SPANS, min_size=1,
                                                    max_size=4).map(tuple))
 
 
+# links of 1-4 spans: lossy and lossless, dispersion of either sign or none,
+# lumped gains, with and without pre-dispersion
+LINKS = st.builds(
+    LinkProfile,
+    spans=st.lists(st.builds(
+        Span,
+        length_m=st.floats(1e3, 1.5e5),
+        alpha_per_m=st.sampled_from([0.0, ALPHA]) | st.floats(0.0, 3 * ALPHA),
+        beta2_s2_per_m=st.just(0.0) | st.floats(-30e-27, 30e-27),
+        gamma_per_w_m=st.floats(1e-4, 3e-3),
+        lumped_gain_db=st.floats(0.0, 20.0),
+    ), min_size=1, max_size=4).map(tuple),
+    xi_pre_s2=st.just(0.0) | st.floats(-5e-24, 5e-24),
+)
+
+# at |F| = 1e21 these links need at most 4.6e5 initial cells per span
+# (|beta2 theta| L / (pi/8)), so two doublings fit the default budget of
+# 2**21 cells
+QUADRATURE_F = st.floats(-1e21, 1e21)
+
+
 def lossless_span_model():
     span = Span(length_m=80e3, alpha_per_m=0.0, beta2_s2_per_m=-21.7e-27,
                 gamma_per_w_m=1.3e-3)
@@ -272,6 +293,30 @@ class TestGridBitContract:
         tri = normalized_kernel_grid(model, lat[rows] * lat[cols])
         assert np.array_equal(_bits(whole[rows, cols]), _bits(tri))
         assert np.array_equal(_bits(whole[cols, rows]), _bits(tri))
+
+
+class TestKernelInvariants:
+    @BIT_CONTRACT
+    @given(link=LINKS, F=QUADRATURE_F)
+    def test_quadrature_agrees_with_closed_form(self, link, F):
+        model = KernelModel(link=link)
+        closed = kernel_closed_form(model, F)
+        assert abs(kernel_quadrature(model, F) - closed) <= 1e-9 * abs(closed)
+
+    @BIT_CONTRACT
+    @given(link=LINKS, F=F_ARRAYS)
+    def test_hermitian_symmetry_is_bit_exact(self, link, F):
+        model = KernelModel(link=link)
+        negative = kernel_closed_form(model, -F)
+        conjugate = np.conj(kernel_closed_form(model, F))
+        assert np.array_equal(negative, conjugate)
+        # bit for bit, except the sign of an imaginary part that rounds to
+        # zero (F = 0 or tiny |F|): +0 at -F, -0 in the conjugate
+        nonzero = conjugate.imag != 0.0
+        assert np.array_equal(_bits(negative[nonzero]),
+                              _bits(conjugate[nonzero]))
+        assert np.array_equal(_bits(negative.real), _bits(conjugate.real))
+        assert normalized_kernel(model, 0.0) == 1.0 + 0.0j
 
 
 class TestNonlinearPhase:

@@ -256,6 +256,15 @@ class TestTheoremChecks:
         assert by_name["t1-auto-offdiagonal"].expected == 0
         assert by_name["t1-auto-diagonal"].expected.real > 0
 
+    def test_theorem1_thread_count_is_invisible(self):
+        procs = StationaryProcessSet.random(3, 4, 32, seed=911)
+        one, three = (theorem1_discrete_check(procs, trials=4000, seed=100,
+                                              threads=threads)
+                      for threads in (1, 3))
+        assert [c.name for c in three.checks] == [c.name for c in one.checks]
+        for a, b in zip(one.checks, three.checks):
+            assert (b.estimate, b.stderr) == (a.estimate, a.stderr)
+
     def test_theorem2_k_bounds(self):
         with pytest.raises(ConfigError, match="k must be"):
             theorem2_check(0, num_ensembles=1, trials=100, seed=0)
