@@ -72,10 +72,10 @@ LINKS = st.builds(
     xi_pre_s2=st.just(0.0) | st.floats(-5e-24, 5e-24),
 )
 
-# at |F| = 1e21 these links need at most 4.6e5 initial cells per span
-# (|beta2 theta| L / (pi/8)), so two doublings fit the default budget of
-# 2**21 cells
-QUADRATURE_F = st.floats(-1e21, 1e21)
+# criterion 1's range: at |F| = 3e22 these links need at most 1.4e4 initial
+# cells per span (|beta2 theta| L / (pi/8)), so seven doublings still fit
+# the default budget of 2**21 cells
+QUADRATURE_F = st.floats(-3e22, 3e22)
 
 
 def lossless_span_model():
