@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -46,7 +47,14 @@ __all__ = ["run", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Bad flags are configuration errors (exit 1), not SystemExit(2)."""
+    """Bad flags are configuration errors (exit 1), not SystemExit(2), and a
+    signed decimal with an exponent (-2e22) is a value, not a flag: argparse
+    by itself takes only -<digits> and -.<digits> as negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)
@@ -109,11 +117,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _header_lines(command: str, resolved: dict) -> list:
+def _csv(command: str, resolved: dict, columns: str, rows, footer=()) -> str:
+    """An output file's text: the comment header (version, command, the
+    resolved configuration), the column line, one line per row of values
+    and the ``footer`` lines."""
     lines = [f"# gnmodel {__version__}", f"# command = {command}"]
-    for key in sorted(resolved):
-        lines.append(f"# {key} = {_fmt(resolved[key])}")
-    return lines
+    lines += [f"# {key} = {_fmt(resolved[key])}" for key in sorted(resolved)]
+    lines.append(columns)
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += footer
+    return "\n".join(lines) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -191,12 +204,10 @@ def _run_kernel(args, cfg: RunConfig):
     resolved = dict(cfg.resolved)
     resolved.update({f"cli.{key}": getattr(args, key) for key in
                      ("f_min_hz2", "f_max_hz2", "points", "spacing", "method")})
-    lines = _header_lines("kernel", resolved)
-    lines.append("F_Hz2,re_K,im_K,re_eta,im_eta,abs_eta")
-    for f, k, e in zip(grid, k_values, eta):
-        lines.append(",".join(_fmt(float(v)) for v in
-                              (f, k.real, k.imag, e.real, e.imag, abs(e))))
-    return "\n".join(lines) + "\n", True
+    rows = [(f, k.real, k.imag, e.real, e.imag, abs(e))
+            for f, k, e in zip(grid, k_values, eta)]
+    return _csv("kernel", resolved, "F_Hz2,re_K,im_K,re_eta,im_eta,abs_eta",
+                rows), True
 
 
 def _gn_psd(args, psd, model, grid, step, include_phase_term):
@@ -208,7 +219,7 @@ def _gn_psd(args, psd, model, grid, step, include_phase_term):
                             include_phase_term=include_phase_term)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return nli_psd_x(request, threads=max(1, args.threads))
+    return nli_psd_x(request, threads=args.threads)
 
 
 def _run_psd(args, cfg: RunConfig):
@@ -216,13 +227,10 @@ def _run_psd(args, cfg: RunConfig):
     result = _gn_psd(args, psd, _kernel_model(cfg), grid,
                      cfg.inner_grid_step_hz, cfg.include_phase_term)
 
-    lines = _header_lines("psd", cfg.resolved)
-    lines.append("f_Hz,spm,xpolm,phase,total_normalized,total_absolute_W_per_Hz")
-    for i, f in enumerate(result.frequencies_hz):
-        lines.append(",".join(_fmt(float(v)) for v in (
-            f, result.spm[i], result.xpolm[i], result.phase[i],
-            result.total[i], result.total_absolute_w_per_hz[i])))
-    return "\n".join(lines) + "\n", True
+    rows = zip(result.frequencies_hz, result.spm, result.xpolm, result.phase,
+               result.total, result.total_absolute_w_per_hz)
+    return _csv("psd", cfg.resolved, "f_Hz,spm,xpolm,phase,total_normalized,"
+                "total_absolute_W_per_Hz", rows), True
 
 
 def _run_montecarlo(args, cfg: RunConfig):
@@ -238,14 +246,11 @@ def _run_montecarlo(args, cfg: RunConfig):
                        trial_cfg.spacing_hz / 8.0,
                        trial_cfg.mode == MODE_RP1).total
 
-    lines = _header_lines("montecarlo", resolved)
-    lines.append("f_Hz,mc_mean,mc_stderr,analytic,abs_z_score")
-    for i, f in enumerate(estimate.frequencies_hz):
-        stderr = float(estimate.stderr[i])
-        z = abs_z_score(float(estimate.mean[i]) - float(analytic[i]), stderr)
-        lines.append(",".join(_fmt(float(v)) for v in (
-            f, estimate.mean[i], stderr, analytic[i], z)))
-    return "\n".join(lines) + "\n", True
+    rows = [(f, mean, err, gn, abs_z_score(mean - gn, err)) for f, mean, err, gn
+            in zip(estimate.frequencies_hz, estimate.mean, estimate.stderr,
+                   analytic)]
+    return _csv("montecarlo", resolved, "f_Hz,mc_mean,mc_stderr,analytic,"
+                "abs_z_score", rows), True
 
 
 def _run_moments(args, cfg: RunConfig):
@@ -262,36 +267,29 @@ def _run_moments(args, cfg: RunConfig):
         if params[key] < 1:
             raise ConfigError(f"moments.{key} must be at least 1, "
                               f"got {params[key]}")
-    threads = max(1, args.threads)
     if theorem == 2:
         report = theorem2_check(params["k"], params["num_ensembles"],
                                 params["trials"], params["seed"],
-                                threads=threads)
+                                threads=args.threads)
     else:
         processes = StationaryProcessSet.random(
             params["num_processes"], params["num_sources"],
             params["grid_size"], params["seed"] + 997)
-        if theorem == 1:
-            report = theorem1_discrete_check(processes, params["trials"],
-                                             params["seed"], threads=threads)
-        else:
-            report = theorem3_discrete_check(processes, params["trials"],
-                                             params["seed"], threads=threads)
+        check = theorem1_discrete_check if theorem == 1 \
+            else theorem3_discrete_check
+        report = check(processes, params["trials"], params["seed"],
+                       threads=args.threads)
 
-    lines = _header_lines("moments", resolved)
-    lines.append("check,passed,z_score,re_estimate,im_estimate,re_expected,"
-                 "im_expected,re_stderr,im_stderr,formula_gap")
-    for c in report.checks:
-        lines.append(",".join((
-            c.name, "pass" if c.passed else "FAIL", _fmt(float(c.z_score)),
-            _fmt(c.estimate.real), _fmt(c.estimate.imag),
-            _fmt(c.expected.real), _fmt(c.expected.imag),
-            _fmt(c.stderr.real), _fmt(c.stderr.imag),
-            _fmt(float(c.formula_gap)))))
+    rows = [(c.name, "pass" if c.passed else "FAIL", c.z_score,
+             c.estimate.real, c.estimate.imag, c.expected.real,
+             c.expected.imag, c.stderr.real, c.stderr.imag, c.formula_gap)
+            for c in report.checks]
     verdict = "PASS" if report.all_passed else "FAIL"
-    lines.append(f"# RESULT: {verdict} (checks = {len(report.checks)}, "
-                 f"max_z = {_fmt(float(report.max_z))})")
-    return "\n".join(lines) + "\n", report.all_passed
+    footer = [f"# RESULT: {verdict} (checks = {len(report.checks)}, "
+              f"max_z = {_fmt(report.max_z)})"]
+    return _csv("moments", resolved, "check,passed,z_score,re_estimate,"
+                "im_estimate,re_expected,im_expected,re_stderr,im_stderr,"
+                "formula_gap", rows, footer), report.all_passed
 
 
 _COMMANDS = {

@@ -8,7 +8,7 @@ exactly instead of to a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,42 +42,6 @@ class PsdShape:
         raise NotImplementedError
 
 
-def _require_finite(shape):
-    for name in ("center_hz", "bandwidth_hz", "height"):
-        value = getattr(shape, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class RectangularPsd(PsdShape):
-    """Flat-top PSD: ``height`` for |f - center| < bandwidth/2, else 0."""
-
-    center_hz: float
-    bandwidth_hz: float
-    height: float
-
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.bandwidth_hz > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
-        if self.height < 0:
-            raise ValueError(f"height must be >= 0, got {self.height}")
-
-    def evaluate(self, f):
-        f = np.asarray(f, dtype=float)
-        inside = np.abs(f - self.center_hz) < 0.5 * self.bandwidth_hz
-        return _scalar_like(f, np.where(inside, self.height, 0.0))
-
-    def power_integral(self) -> float:
-        return self.height * self.bandwidth_hz
-
-    @property
-    def support(self) -> tuple[float, float]:
-        half = 0.5 * self.bandwidth_hz
-        return (self.center_hz - half, self.center_hz + half)
-
-
 @dataclass(frozen=True)
 class RaisedCosinePsd(PsdShape):
     """Raised-cosine PSD with half-amplitude full width ``bandwidth_hz``.
@@ -93,7 +57,10 @@ class RaisedCosinePsd(PsdShape):
     height: float
 
     def __post_init__(self):
-        _require_finite(self)
+        for name in ("center_hz", "bandwidth_hz", "height"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.bandwidth_hz > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
         if not 0.0 <= self.rolloff <= 1.0:
@@ -103,11 +70,12 @@ class RaisedCosinePsd(PsdShape):
 
     def evaluate(self, f):
         f = np.asarray(f, dtype=float)
+        if self.rolloff == 0.0:    # the rectangle: no |f - center| kept alive
+            inside = np.abs(f - self.center_hz) < 0.5 * self.bandwidth_hz
+            return _scalar_like(f, np.where(inside, self.height, 0.0))
         x = np.abs(f - self.center_hz)
         flat_edge = 0.5 * (1.0 - self.rolloff) * self.bandwidth_hz
         outer_edge = 0.5 * (1.0 + self.rolloff) * self.bandwidth_hz
-        if self.rolloff == 0.0:
-            return _scalar_like(f, np.where(x < outer_edge, self.height, 0.0))
         vals = np.where(x <= flat_edge, self.height, 0.0)
         # the cosine is taken on the rolloff band only, where x - flat_edge > 0
         band = (flat_edge < x) & (x < outer_edge)
@@ -122,6 +90,14 @@ class RaisedCosinePsd(PsdShape):
     def support(self) -> tuple[float, float]:
         half = 0.5 * (1.0 + self.rolloff) * self.bandwidth_hz
         return (self.center_hz - half, self.center_hz + half)
+
+
+@dataclass(frozen=True)
+class RectangularPsd(RaisedCosinePsd):
+    """Flat-top PSD: ``height`` for |f - center| < bandwidth/2, else 0; the
+    raised cosine of zero rolloff."""
+
+    rolloff: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,15 @@ def column(rows, columns, name):
     return np.array([float(r[i]) for r in rows])
 
 
+def assert_plain_numbers(columns, rows, first=0):
+    """Every row is complete and each field from column ``first`` on is a
+    number float() reads (a NumPy scalar's repr, np.float64(...), is not)."""
+    for row in rows:
+        assert len(row) == len(columns)
+        for value in row[first:]:
+            float(value)
+
+
 class TestKernelCommand:
     def test_closed_form_output(self, config_path, tmp_path):
         out = tmp_path / "kernel.csv"
@@ -98,6 +107,7 @@ class TestKernelCommand:
         assert columns == ["F_Hz2", "re_K", "im_K", "re_eta", "im_eta",
                            "abs_eta"]
         assert len(rows) == 5
+        assert_plain_numbers(columns, rows)
         f_grid = column(rows, columns, "F_Hz2")
         np.testing.assert_allclose(f_grid, np.logspace(16, 22, 5), rtol=1e-15)
         # repr round-trip: parsed values equal the library's doubles exactly
@@ -120,12 +130,14 @@ class TestKernelCommand:
         np.testing.assert_allclose(column(rows_q, cols_q, "re_K"),
                                    column(rows_c, cols_c, "re_K"), rtol=1e-8)
 
-    def test_flag_validation(self, config_path, tmp_path):
+    def test_flag_validation(self, config_path, tmp_path, capsys):
         out = tmp_path / "never.csv"
         base = ["--config", config_path, "--output", str(out), "kernel"]
         bad = [
             base + ["--f-min-hz2", "1e16", "--f-max-hz2", "1e22",
                     "--points", "0"],
+            base + ["--f-min-hz2", "1e16", "--f-max-hz2", "1e22",
+                    "--points", "-3"],   # a value, not a flag
             base + ["--f-min-hz2", "0", "--f-max-hz2", "1e22",
                     "--points", "3"],
             base + ["--f-min-hz2", "5", "--f-max-hz2", "4", "--points", "3",
@@ -134,6 +146,20 @@ class TestKernelCommand:
         for argv in bad:
             assert run(argv) == 1
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("kernel --points must be at least 1") == 2
+
+    @pytest.mark.parametrize("f_min", ["-2e22", "-2.5E+21", "-1e-3"])
+    def test_negative_exponent_is_a_value(self, config_path, tmp_path, f_min):
+        # argparse alone reads -2e22 as an unknown flag ("expected one
+        # argument"); the separate and the "=" forms must both parse
+        out = tmp_path / "kernel.csv"
+        for flag in (["--f-min-hz2", f_min], [f"--f-min-hz2={f_min}"]):
+            assert run(["--config", config_path, "--output", str(out),
+                        "kernel", *flag, "--f-max-hz2", "3e22", "--points",
+                        "3", "--spacing", "linear"]) == 0
+            _, columns, rows = read_table(out)
+            assert column(rows, columns, "F_Hz2")[0] == float(f_min)
 
     def test_convergence_failure_exits_2(self, tmp_path, capsys):
         text = textwrap.dedent(CONFIG) + textwrap.dedent("""
@@ -197,6 +223,7 @@ class TestPsdCommand:
         assert columns == ["f_Hz", "spm", "xpolm", "phase",
                            "total_normalized", "total_absolute_W_per_Hz"]
         assert len(rows) == 5
+        assert_plain_numbers(columns, rows)
         cfg = load_config(config_path)
         model = KernelModel(cfg.require_link())
         request = GnRequest(psd=cfg.require_signal(), kernel=model,
@@ -260,6 +287,7 @@ class TestMontecarloCommand:
         assert columns == ["f_Hz", "mc_mean", "mc_stderr", "analytic",
                            "abs_z_score"]
         assert len(rows) == 17
+        assert_plain_numbers(columns, rows)
         cfg = load_config(config_path)
         model = KernelModel(cfg.require_link())
         trial_cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=40,
@@ -312,12 +340,8 @@ class TestMomentsCommand:
         assert len(rows) == 22  # 20 ensembles + two classics
         assert comments[-1].startswith("# RESULT: PASS (checks = 22")
         # every field is plain data: a verdict, or a number float() reads
-        # (a NumPy scalar's repr, np.float64(...), would not parse)
-        for row in rows:
-            assert len(row) == len(columns)
-            assert row[1] in ("pass", "FAIL")
-            for value in row[2:]:
-                float(value)
+        assert all(r[1] in ("pass", "FAIL") for r in rows)
+        assert_plain_numbers(columns, rows, first=2)
 
     def test_statistical_failure_exits_3_but_writes_report(self, tmp_path):
         # two trials give an honestly unstable estimate; this frozen seed

@@ -61,12 +61,34 @@ class TestRaisedCosine:
         numeric = np.trapezoid(shape.evaluate(f), f)
         assert numeric == pytest.approx(h * b, rel=1e-8)
 
-    def test_zero_rolloff_degenerates_to_rectangle(self):
-        rc = RaisedCosinePsd(center_hz=0.0, bandwidth_hz=8e9, rolloff=0.0,
-                             height=1.0)
-        rect = RectangularPsd(center_hz=0.0, bandwidth_hz=8e9, height=1.0)
-        f = np.linspace(-6e9, 6e9, 101)
-        np.testing.assert_array_equal(rc.evaluate(f), rect.evaluate(f))
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(center=st.sampled_from([0.0, 1e9]) | st.floats(-5e9, 5e9),
+           bandwidth=st.floats(1e9, 5e10),
+           height=st.floats(0.0, 10.0),
+           u=hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(3)),
+                        elements=st.floats(-1.5, 1.5)))
+    def test_zero_rolloff_degenerates_to_rectangle(self, center, bandwidth,
+                                                   height, u):
+        rect = RectangularPsd(center, bandwidth, height)
+        rc = RaisedCosinePsd(center, bandwidth, 0.0, height)
+        assert isinstance(rect, RaisedCosinePsd) and rect.rolloff == 0.0
+        assert rect.support == rc.support
+        assert rect.power_integral() == rc.power_integral()
+        # a 2-D grid: the center and both edges (exactly +-B/2 when the
+        # center is 0), then rows spread over and beyond the support
+        half = 0.5 * bandwidth
+        f = np.vstack([[center, center - half, center + half],
+                       center + u * bandwidth])
+        got = rect.evaluate(f)
+        assert got.shape == f.shape
+        assert got.tobytes() == rc.evaluate(f).tobytes()
+        for value in f.ravel()[:6]:
+            scalar = rect.evaluate(float(value))
+            assert type(scalar) is float
+            assert scalar == rc.evaluate(float(value))
+        with pytest.raises(TypeError):    # rolloff is no constructor argument
+            RectangularPsd(center, bandwidth, 0.0, height)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rolloff"):
