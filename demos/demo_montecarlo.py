@@ -38,7 +38,7 @@ def main():
                         inner_grid_step_hz=cfg.spacing_hz / 8.0,
                         include_phase_term=True)
     gn = nli_psd_x(request)
-    mask = in_band_mask(cfg.frequencies_hz, psd.gx, edge_margin=0.1)
+    mask = in_band_mask(cfg.frequencies_hz, psd.gx, cfg.edge_margin)
 
     def report(label, estimate, reference):
         z = np.abs(estimate.mean[mask] - reference[mask]) \
@@ -46,7 +46,7 @@ def main():
         print(f"  {label:34s} worst z {z.max():5.2f}, "
               f"{int(np.sum(z <= 3.0))}/{mask.sum()} points within 3 stderr")
 
-    print("in-band agreement (10% edge margin):")
+    print(f"in-band agreement ({cfg.edge_margin:.0%} edge margin):")
     report("RP1 vs GN total with phase", paired.rp1, gn.total)
     report("DP-ERP1 vs GN total without phase", paired.erp1,
            gn.spm + gn.xpolm)

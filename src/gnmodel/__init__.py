@@ -20,9 +20,8 @@ from .moments import (CheckReport, CheckResult, GaussianEnsemble, MomentSpec,
                       mc_moment, theorem1_discrete_check, theorem2_check,
                       theorem3_discrete_check)
 from .montecarlo import (MODE_DP_ERP1, MODE_RP1, PairedEstimates, PsdEstimate,
-                         SpectralField, TrialConfig, discrete_powers,
-                         draw_field, erp1_perturbation, estimate_nli_psd,
-                         in_band_mask, rp1_perturbation, run_paired_trials,
+                         TrialConfig, discrete_powers, estimate_nli_psd,
+                         in_band_mask, run_paired_trials,
                          validate_grid_coverage)
 from .spectra import (DualPolPsd, PsdShape, RaisedCosinePsd, RectangularPsd,
                       TabulatedPsd, phase_rotation_weight)
@@ -39,9 +38,9 @@ __all__ = [
     "normalized_kernel_grid", "nonlinear_phase",
     "GnRequest", "NliPsdResult", "nli_psd_x", "nli_psd_y",
     "phase_term_coefficient",
-    "MODE_RP1", "MODE_DP_ERP1", "TrialConfig", "SpectralField", "PsdEstimate",
-    "PairedEstimates", "draw_field", "rp1_perturbation", "erp1_perturbation",
-    "estimate_nli_psd", "run_paired_trials", "discrete_powers", "in_band_mask",
+    "MODE_RP1", "MODE_DP_ERP1", "TrialConfig", "PsdEstimate",
+    "PairedEstimates", "estimate_nli_psd", "run_paired_trials",
+    "discrete_powers", "in_band_mask",
     "validate_grid_coverage",
     "GaussianEnsemble", "MomentSpec", "CheckResult", "CheckReport",
     "StationaryProcessSet", "cgmt_sum", "mc_moment", "fourth_moment_identity",

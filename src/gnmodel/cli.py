@@ -210,22 +210,22 @@ def _run_kernel(args, cfg: RunConfig):
                 rows), True
 
 
-def _gn_psd(args, psd, model, grid, step, include_phase_term):
-    """The GN PSD of X; a request the engine rejects is a configuration
+def _gn_request(psd, model, grid, step, include_phase_term):
+    """The GN request for X; a request the engine rejects is a configuration
     error."""
     try:
-        request = GnRequest(psd=psd, kernel=model, output_grid_hz=grid,
-                            inner_grid_step_hz=step,
-                            include_phase_term=include_phase_term)
+        return GnRequest(psd=psd, kernel=model, output_grid_hz=grid,
+                         inner_grid_step_hz=step,
+                         include_phase_term=include_phase_term)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return nli_psd_x(request, threads=args.threads)
 
 
 def _run_psd(args, cfg: RunConfig):
     psd, grid = cfg.require_signal(), cfg.require_output_grid()
-    result = _gn_psd(args, psd, _kernel_model(cfg), grid,
-                     cfg.inner_grid_step_hz, cfg.include_phase_term)
+    request = _gn_request(psd, _kernel_model(cfg), grid,
+                          cfg.inner_grid_step_hz, cfg.include_phase_term)
+    result = nli_psd_x(request, threads=args.threads)
 
     rows = zip(result.frequencies_hz, result.spm, result.xpolm, result.phase,
                result.total, result.total_absolute_w_per_hz)
@@ -238,13 +238,14 @@ def _run_montecarlo(args, cfg: RunConfig):
     model = _kernel_model(cfg)
     params, resolved = _merge_flags(args, cfg, "montecarlo")
     trial_cfg = TrialConfig(**params)
-    estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
-
     # continuum GN prediction on the same grid; the phase term belongs to the
-    # RP1 PSD only and cancels in DP-ERP1
-    analytic = _gn_psd(args, psd, model, estimate.frequencies_hz,
-                       trial_cfg.spacing_hz / 8.0,
-                       trial_cfg.mode == MODE_RP1).total
+    # RP1 PSD only and cancels in DP-ERP1.  Built first, so a step the GN
+    # engine rejects fails before any trial runs.
+    request = _gn_request(psd, model, trial_cfg.frequencies_hz,
+                          trial_cfg.spacing_hz / 8.0,
+                          trial_cfg.mode == MODE_RP1)
+    estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
+    analytic = nli_psd_x(request, threads=args.threads).total
 
     rows = [(f, mean, err, gn, abs_z_score(mean - gn, err)) for f, mean, err, gn
             in zip(estimate.frequencies_hz, estimate.mean, estimate.stderr,

@@ -69,12 +69,8 @@ __all__ = [
     "MODE_RP1",
     "MODE_DP_ERP1",
     "TrialConfig",
-    "SpectralField",
     "PsdEstimate",
     "PairedEstimates",
-    "draw_field",
-    "rp1_perturbation",
-    "erp1_perturbation",
     "estimate_nli_psd",
     "run_paired_trials",
     "discrete_powers",
@@ -134,23 +130,6 @@ class TrialConfig:
 
 
 @dataclass
-class SpectralField:
-    """One realization: complex line amplitudes per polarization.
-
-    Index i of the arrays corresponds to grid position k = i - M/2.
-    """
-
-    spacing_hz: float
-    lines_x: np.ndarray
-    lines_y: np.ndarray
-
-    @property
-    def frequencies_hz(self) -> np.ndarray:
-        half = (self.lines_x.size - 1) // 2
-        return (np.arange(self.lines_x.size) - half) * self.spacing_hz
-
-
-@dataclass
 class PsdEstimate:
     """Per-grid-frequency estimator output (normalized to Phi_NL^2)."""
 
@@ -205,18 +184,6 @@ def _draw_rows(streams: FieldStreams, amps: np.ndarray, pol_tag: int,
         out[t - trial_lo] = complex_normals(streams.at(t, pol_tag),
                                             amps.size) * amps
     return out
-
-
-def draw_field(cfg: TrialConfig, psd: DualPolPsd, trial_index: int) -> SpectralField:
-    """The spectral-line field of one trial (bit-reproducible per index)."""
-    streams = FieldStreams(cfg.seed)
-    amps_x = _line_amplitudes(cfg, psd.gx)
-    amps_y = _line_amplitudes(cfg, psd.gy)
-    return SpectralField(
-        spacing_hz=cfg.spacing_hz,
-        lines_x=_draw_rows(streams, amps_x, POL_X, trial_index, trial_index + 1)[0],
-        lines_y=_draw_rows(streams, amps_y, POL_Y, trial_index, trial_index + 1)[0],
-    )
 
 
 def _support_bounds(cfg: TrialConfig, shape: PsdShape):
@@ -292,46 +259,6 @@ def discrete_powers(cfg: TrialConfig, psd: DualPolPsd) -> tuple[float, float]:
     return px, py
 
 
-def _phi_nl(psd: DualPolPsd, kernel: KernelModel) -> float:
-    return psd.p0_w * kernel.k0.real
-
-
-def _double_sums(field: SpectralField, kernel: KernelModel, cfg: TrialConfig,
-                 psd: DualPolPsd):
-    """The RP1 double sums (B_x, B_y) of one field; B_y is B_x of the
-    swapped input."""
-    x, y = field.lines_x[None, :], field.lines_y[None, :]
-    bx = _perturbation_rows(x, y, _shift_sums(cfg, psd, kernel))[0]
-    by = _perturbation_rows(y, x, _shift_sums(cfg, psd.swapped(), kernel))[0]
-    return bx, by
-
-
-def rp1_perturbation(field: SpectralField, kernel: KernelModel,
-                     cfg: TrialConfig, psd: DualPolPsd) -> SpectralField:
-    """First-order perturbation field -j Phi_NL * (double sum), both pols."""
-    phi = _phi_nl(psd, kernel)
-    bx, by = _double_sums(field, kernel, cfg, psd)
-    return SpectralField(cfg.spacing_hz, -1j * phi * bx, -1j * phi * by)
-
-
-def erp1_perturbation(field: SpectralField, kernel: KernelModel,
-                      cfg: TrialConfig, psd: DualPolPsd) -> SpectralField:
-    """DP-ERP1 perturbation -j Phi_NL * (-A + B).
-
-    B is the RP1 double sum; A = P_T * (input line) subtracts the average
-    phase rotation, with P_T the discrete-grid power weight (2Px+Py for X,
-    2Py+Px for Y).
-    """
-    phi = _phi_nl(psd, kernel)
-    px_d, py_d = discrete_powers(cfg, psd)
-    bx, by = _double_sums(field, kernel, cfg, psd)
-    return SpectralField(
-        cfg.spacing_hz,
-        -1j * phi * (bx - phase_rotation_weight(px_d, py_d) * field.lines_x),
-        -1j * phi * (by - phase_rotation_weight(py_d, px_d) * field.lines_y),
-    )
-
-
 def _main_as_x(cfg: TrialConfig, psd: DualPolPsd, polarization: str) -> DualPolPsd:
     """The input with the requested output polarization in the X role."""
     if polarization not in ("x", "y"):
@@ -346,8 +273,7 @@ def _per_trial_values(cfg, psd, kernel):
 
     Only X is computed: the Y samples are the X samples of the swapped input
     (``psd.swapped()``).  Streams are keyed by *role* (main polarization =
-    tag 0, partner = tag 1), which for X coincide with the physical POL_X /
-    POL_Y tags of ``draw_field``, so the swap reproduces the Y estimate
+    POL_X, partner = POL_Y), so the swap reproduces the Y estimate
     bit-exactly.
     """
     f0 = cfg.spacing_hz
@@ -412,7 +338,7 @@ def run_paired_trials(cfg: TrialConfig, psd: DualPolPsd, kernel: KernelModel,
 
 
 def in_band_mask(frequencies_hz: np.ndarray, shape: PsdShape,
-                 edge_margin: float = 0.1) -> np.ndarray:
+                 edge_margin: float) -> np.ndarray:
     """Grid points within the support, excluding the outer ``edge_margin``
     fraction of the support half-width at each edge."""
     lo, hi = shape.support

@@ -121,7 +121,7 @@ def mc_run():
                         inner_grid_step_hz=cfg.spacing_hz / 8.0,
                         include_phase_term=True)
     gn = nli_psd_x(request)
-    mask = in_band_mask(cfg.frequencies_hz, psd.gx, edge_margin=0.1)
+    mask = in_band_mask(cfg.frequencies_hz, psd.gx, cfg.edge_margin)
     return {"paired": paired, "gn": gn, "mask": mask}
 
 

@@ -320,6 +320,17 @@ class TestMontecarloCommand:
         np.testing.assert_allclose(diff, phase, rtol=1e-12,
                                    atol=1e-15 * float(np.max(phase)))
 
+    def test_bad_gn_step_exits_1_before_any_trial(self, config_path, tmp_path,
+                                                  capsys):
+        # a ruinous trial count proves the GN request is checked up front:
+        # the step spacing/8 exceeds 1/16 of the 9 GHz X support
+        out = tmp_path / "never.csv"
+        assert run(["--config", config_path, "--output", str(out),
+                    "montecarlo", "--spacing-hz", "11e9",
+                    "--trials", str(10**9)]) == 1
+        assert not out.exists()
+        assert "exceeds 1/16 of the gx support width" in capsys.readouterr().err
+
     def test_thread_count_is_byte_invisible(self, config_path, tmp_path):
         one, four = tmp_path / "t1.csv", tmp_path / "t4.csv"
         for out, threads in ((one, "1"), (four, "4")):

@@ -1,9 +1,9 @@
-"""Monte Carlo line model: draws, perturbation maps, estimators, invariants.
+"""Monte Carlo line model: draws, perturbation sums, estimators, invariants.
 
-The perturbation map is checked against a literal triple loop over parent
-line indices written straight from the discrete RP1 formula, with scalar
-kernel lookups and a different summation order than the library's
-per-shift GEMMs.
+The engine's own per-shift GEMM block (``_perturbation_rows`` over a block
+of trials drawn by ``_draw_rows``) is checked against a literal triple loop
+over parent line indices written straight from the discrete RP1 formula,
+with scalar kernel lookups and a different summation order.
 """
 import math
 import os
@@ -13,16 +13,17 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gnmodel
 from gnmodel import (ConfigError, DualPolPsd, KernelModel, LinkProfile,
-                     RaisedCosinePsd, RectangularPsd, Span, SpectralField,
-                     TrialConfig, discrete_powers, draw_field,
-                     erp1_perturbation, estimate_nli_psd, in_band_mask,
-                     normalized_kernel, rp1_perturbation, run_paired_trials,
+                     RaisedCosinePsd, RectangularPsd, Span, TrialConfig,
+                     discrete_powers, estimate_nli_psd, in_band_mask,
+                     normalized_kernel, run_paired_trials,
                      validate_grid_coverage)
+from gnmodel.montecarlo import (_draw_rows, _line_amplitudes, _per_trial_values,
+                                _perturbation_rows, _shift_sums)
 from gnmodel.rng import POL_X, POL_Y, FieldStreams, complex_normals, field_stream
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
@@ -54,6 +55,21 @@ def span_kernel():
 
 def zero_shape():
     return RectangularPsd(center_hz=0.0, bandwidth_hz=1.0, height=0.0)
+
+
+def draw_block(cfg, psd, trial_lo, trial_hi):
+    """The (trials, lines) X and Y line matrices of a trial range."""
+    streams = FieldStreams(cfg.seed)
+    return tuple(_draw_rows(streams, _line_amplitudes(cfg, shape), pol,
+                            trial_lo, trial_hi)
+                 for shape, pol in ((psd.gx, POL_X), (psd.gy, POL_Y)))
+
+
+def double_sums(x, y, cfg, psd, kernel):
+    """The engine's RP1 double sums (B_x, B_y) of a block; B_y is B_x of the
+    swapped input."""
+    return (_perturbation_rows(x, y, _shift_sums(cfg, psd, kernel)),
+            _perturbation_rows(y, x, _shift_sums(cfg, psd.swapped(), kernel)))
 
 
 class TestTrialConfig:
@@ -90,21 +106,19 @@ class TestDrawField:
         cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=10, seed=7)
         psd = DualPolPsd(RectangularPsd(0.0, 9e9, 1.0),
                          RectangularPsd(1e9, 6e9, 0.5), 1e-3)
-        a = draw_field(cfg, psd, 3)
-        b = draw_field(cfg, psd, 3)
-        np.testing.assert_array_equal(a.lines_x, b.lines_x)
-        np.testing.assert_array_equal(a.lines_y, b.lines_y)
-        c = draw_field(cfg, psd, 4)
-        assert not np.array_equal(a.lines_x, c.lines_x)
-        np.testing.assert_allclose(a.frequencies_hz, cfg.frequencies_hz,
-                                   rtol=0, atol=0)
+        block = draw_block(cfg, psd, 0, 6)
+        alone = draw_block(cfg, psd, 3, 4)
+        for rows, row in zip(block, alone):
+            np.testing.assert_array_equal(rows[3], row[0])
+            assert not np.array_equal(rows[3], rows[4])
+        assert block[0].shape == (6, cfg.grid_indices.size)
 
     def test_zero_psd_gives_zero_lines(self):
         cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=1, seed=7)
         psd = DualPolPsd(zero_shape(), RectangularPsd(0.0, 6e9, 0.5), 1e-3)
-        field = draw_field(cfg, psd, 0)
-        assert np.all(field.lines_x == 0)
-        assert np.any(field.lines_y != 0)
+        x, y = draw_block(cfg, psd, 0, 1)
+        assert np.all(x == 0)
+        assert np.any(y != 0)
 
     def test_line_statistics_match_psd(self):
         # normalized lines xi_k = line_k / sqrt(Ghat/f0) are standard circular
@@ -113,12 +127,10 @@ class TestDrawField:
         psd = DualPolPsd(RectangularPsd(0.0, 9e9, 1.3), zero_shape(), 1e-3)
         support = np.abs(cfg.frequencies_hz) < 4.5e9
         trials = 8000
-        sq = np.empty((trials, int(support.sum())))
-        raw = np.empty_like(sq, dtype=complex)
-        for t in range(trials):
-            xi = draw_field(cfg, psd, t).lines_x[support] / math.sqrt(1.3 / 1e9)
-            sq[t] = np.abs(xi) ** 2
-            raw[t] = xi**2
+        xi = draw_block(cfg, psd, 0, trials)[0][:, support] \
+            / math.sqrt(1.3 / 1e9)
+        sq = np.abs(xi) ** 2
+        raw = xi**2
         n = sq.size
         assert abs(sq.mean() - 1.0) < 4.0 / math.sqrt(n)
         assert abs(raw.mean()) < 4.0 / math.sqrt(n)
@@ -146,124 +158,149 @@ class TestFieldStreams:
             got.integers(0, 2**31, size=extra, dtype=np.uint32)
             got.random(extra)
 
-    def test_draw_field_uses_the_field_stream_keys(self):
+    def test_draw_rows_use_the_field_stream_keys(self):
         cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=3, seed=11)
         psd = DualPolPsd(RectangularPsd(0.0, 9e9, 1.0),
                          RectangularPsd(1e9, 6e9, 0.5), 1e-3)
         amps = [np.sqrt(shape.evaluate(cfg.frequencies_hz) / cfg.spacing_hz)
                 / math.sqrt(2.0) for shape in (psd.gx, psd.gy)]
+        x, y = draw_block(cfg, psd, 0, cfg.num_trials)
         for t in range(cfg.num_trials):
-            field = draw_field(cfg, psd, t)
-            for lines, pol, amp in ((field.lines_x, POL_X, amps[0]),
-                                    (field.lines_y, POL_Y, amps[1])):
+            for lines, pol, amp in ((x[t], POL_X, amps[0]),
+                                    (y[t], POL_Y, amps[1])):
                 ref = complex_normals(field_stream(11, t, pol), 17) * amp
                 np.testing.assert_array_equal(lines, ref)
 
 
-class TestPerturbationOracle:
-    def brute_force(self, field, kernel, psd, cfg):
-        """Literal triple loop over parent indices i1, i2, i3 (i2 conjugated);
-        i2 = i1 + i3 - i enforces the FWM frequency relation."""
-        f0 = cfg.spacing_hz
-        phi = psd.p0_w * kernel.k0.real
-        x, y = field.lines_x, field.lines_y
-        count = x.size
-        out_x = np.zeros(count, dtype=complex)
-        out_y = np.zeros(count, dtype=complex)
-        for i in range(count):
-            for i1 in range(count):
-                for i3 in range(count):
-                    i2 = i1 + i3 - i
-                    if not 0 <= i2 < count:
-                        continue
-                    eta = normalized_kernel(
-                        kernel, (i1 - i) * (i3 - i) * f0 * f0)
-                    w = -1j * phi * f0 * f0 * eta
-                    out_x[i] += w * (x[i1] * np.conj(x[i2]) * x[i3]
-                                     + x[i1] * np.conj(y[i2]) * y[i3])
-                    out_y[i] += w * (y[i1] * np.conj(y[i2]) * y[i3]
-                                     + y[i1] * np.conj(x[i2]) * x[i3])
-        return out_x, out_y
+# the 16-line oracle grid holds supports out to 8 f0 / 1.5; a margin keeps
+# rounding in the raised-cosine edges off the coverage bound
+ORACLE_REACH_HZ = 5.3e9
 
-    def test_rp1_matches_triple_loop(self):
-        cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=1, seed=11)
-        psd = DualPolPsd(RectangularPsd(0.0, 9e9, 1.0),
-                         RaisedCosinePsd(1e9, 6e9, 0.3, 0.7), 1e-3)
-        kernel = span_kernel()
-        field = draw_field(cfg, psd, 5)
-        pert = rp1_perturbation(field, kernel, cfg, psd)
-        ref_x, ref_y = self.brute_force(field, kernel, psd, cfg)
-        scale = np.max(np.abs(ref_x))
-        np.testing.assert_allclose(pert.lines_x, ref_x, rtol=1e-12,
-                                   atol=1e-14 * scale)
-        np.testing.assert_allclose(pert.lines_y, ref_y, rtol=1e-12,
-                                   atol=1e-14 * scale)
+
+@st.composite
+def oracle_shapes(draw):
+    """A rectangular or raised-cosine shape whose support the 16-line,
+    1 GHz oracle grid covers."""
+    half = draw(st.floats(0.2e9, ORACLE_REACH_HZ))
+    center = draw(st.floats(half - ORACLE_REACH_HZ, ORACLE_REACH_HZ - half))
+    height = draw(st.floats(0.1, 2.0))
+    rolloff = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))
+    if rolloff == 0.0:
+        return RectangularPsd(center, 2.0 * half, height)
+    return RaisedCosinePsd(center, 2.0 * half / (1.0 + rolloff), rolloff,
+                           height)
+
+
+class TestPerturbationOracle:
+    cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=3, seed=11)
+    kernel = span_kernel()
+    etas = {}
+
+    def triple_loop(self, main, other):
+        """Literal triple loop over parent indices i1, i2, i3 (i2 conjugated)
+        for each row; i2 = i1 + i3 - i enforces the FWM frequency relation."""
+        f0 = self.cfg.spacing_hz
+        rows, count = main.shape
+        out = np.zeros_like(main)
+        for r in range(rows):
+            x, y = main[r].tolist(), other[r].tolist()
+            for i in range(count):
+                acc = 0j
+                for i1 in range(count):
+                    for i3 in range(count):
+                        i2 = i1 + i3 - i
+                        if not 0 <= i2 < count:
+                            continue
+                        p = (i1 - i) * (i3 - i)
+                        if p not in self.etas:
+                            self.etas[p] = normalized_kernel(
+                                self.kernel, p * f0 * f0)
+                        acc += f0 * f0 * self.etas[p] * (
+                            x[i1] * x[i2].conjugate() * x[i3]
+                            + x[i1] * y[i2].conjugate() * y[i3])
+                out[r, i] = acc
+        return out
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(gx=oracle_shapes(), gy=oracle_shapes(),
+           seed=st.integers(0, 2**64 - 1), first=st.integers(0, 2**20),
+           trials=st.integers(1, 3))
+    @example(gx=RectangularPsd(0.0, 9e9, 1.0),
+             gy=RaisedCosinePsd(1e9, 6e9, 0.3, 0.7), seed=11, first=4,
+             trials=3)
+    def test_rp1_matches_triple_loop(self, gx, gy, seed, first, trials):
+        cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=trials,
+                          seed=seed)
+        psd = DualPolPsd(gx, gy, 1e-3)
+        validate_grid_coverage(cfg, psd)
+        x, y = draw_block(cfg, psd, first, first + trials)
+        bx, by = double_sums(x, y, cfg, psd, self.kernel)
+        ref_x, ref_y = self.triple_loop(x, y), self.triple_loop(y, x)
+        scale = max(np.max(np.abs(ref_x)), np.max(np.abs(ref_y)))
+        np.testing.assert_allclose(bx, ref_x, rtol=1e-12, atol=1e-14 * scale)
+        np.testing.assert_allclose(by, ref_y, rtol=1e-12, atol=1e-14 * scale)
 
     def test_single_line_closed_form(self):
-        # only k = 0 populated: U(0) = -j Phi_NL |X0|^2 X0 f0^2 (eta(0) = 1)
-        cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=1, seed=2)
+        # only k = 0 populated: B(0) = |X0|^2 X0 f0^2 (eta(0) = 1)
         psd = DualPolPsd(RectangularPsd(0.0, 0.5e9, 1.7), zero_shape(), 2e-3)
-        kernel = span_kernel()
-        field = draw_field(cfg, psd, 0)
-        half = cfg.half_lines
-        x0 = field.lines_x[half]
-        assert x0 != 0
-        assert np.count_nonzero(field.lines_x) == 1
-        pert = rp1_perturbation(field, kernel, cfg, psd)
-        phi = 2e-3 * kernel.k0.real
-        expected = -1j * phi * abs(x0) ** 2 * x0 * cfg.spacing_hz**2
-        assert pert.lines_x[half] == pytest.approx(expected, rel=1e-14)
-        others = np.delete(pert.lines_x, half)
-        assert np.all(others == 0)
-        assert np.all(pert.lines_y == 0)
+        x, y = draw_block(self.cfg, psd, 0, 3)
+        half = self.cfg.half_lines
+        x0 = x[:, half]
+        assert np.all(x0 != 0)
+        assert np.count_nonzero(x) == 3
+        bx, by = double_sums(x, y, self.cfg, psd, self.kernel)
+        expected = np.abs(x0) ** 2 * x0 * self.cfg.spacing_hz**2
+        np.testing.assert_allclose(bx[:, half], expected, rtol=1e-14)
+        assert np.all(np.delete(bx, half, axis=1) == 0)
+        assert np.all(by == 0)
 
     def test_three_lines_four_wave_mixing_product(self):
         # lines at k in {-2, 0, +2}: the only parent triple landing on k = 6
-        # is (a, b, c) = (2, -2, 2), so U(6) = -j Phi f0^2 eta(16 f0^2) X2^2 X-2*
-        cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=1, seed=3)
+        # is (a, b, c) = (2, -2, 2), so B(6) = f0^2 eta(16 f0^2) X2^2 X-2*
         psd = DualPolPsd(RectangularPsd(0.0, 4.5e9, 1.0), zero_shape(), 1e-3)
-        kernel = span_kernel()
-        half = cfg.half_lines
-        lines_x = np.zeros(cfg.num_lines + 1, dtype=complex)
-        lines_x[half - 2] = 0.4 - 0.9j
-        lines_x[half] = 1.1 + 0.2j
-        lines_x[half + 2] = -0.3 + 0.8j
-        field = SpectralField(cfg.spacing_hz, lines_x,
-                              np.zeros_like(lines_x))
-        pert = rp1_perturbation(field, kernel, cfg, psd)
-        phi = 1e-3 * kernel.k0.real
-        f0 = cfg.spacing_hz
-        eta = normalized_kernel(kernel, (2 - 6) * (2 - 6) * f0 * f0)
-        expected = -1j * phi * f0**2 * eta \
-            * lines_x[half + 2] ** 2 * np.conj(lines_x[half - 2])
-        assert pert.lines_x[half + 6] == pytest.approx(expected, rel=1e-13)
+        half = self.cfg.half_lines
+        x = np.zeros((2, self.cfg.num_lines + 1), dtype=complex)
+        x[:, half - 2] = 0.4 - 0.9j, -0.7 + 0.1j
+        x[:, half] = 1.1 + 0.2j, 0.3 - 0.5j
+        x[:, half + 2] = -0.3 + 0.8j, 0.9 + 0.6j
+        bx, _ = double_sums(x, np.zeros_like(x), self.cfg, psd, self.kernel)
+        f0 = self.cfg.spacing_hz
+        eta = normalized_kernel(self.kernel, (2 - 6) * (2 - 6) * f0 * f0)
+        expected = f0**2 * eta * x[:, half + 2] ** 2 * np.conj(x[:, half - 2])
+        np.testing.assert_allclose(bx[:, half + 6], expected, rtol=1e-13)
         # beyond +/- 6 nothing can mix
-        assert np.all(pert.lines_x[half + 7:] == 0)
-        assert np.all(pert.lines_x[: half - 7] == 0)
+        assert np.all(bx[:, half + 7:] == 0)
+        assert np.all(bx[:, : half - 7] == 0)
 
 
 class TestErp1:
     def setup_method(self):
-        self.cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=1,
+        self.cfg = TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=300,
                                seed=9)
         self.psd = DualPolPsd(RectangularPsd(0.0, 9e9, 1.0),
                               RectangularPsd(1e9, 6e9, 0.5), 1e-3)
         self.kernel = span_kernel()
 
+    def assert_erp1_subtracts(self, psd, weight):
+        """The engine's samples over a full and a short trial chunk are
+        f0 |B|^2 and f0 |B - weight X|^2 of an independent draw and sum."""
+        cfg = self.cfg
+        v_rp1, v_erp1 = _per_trial_values(cfg, psd, self.kernel)
+        x, y = draw_block(cfg, psd, 0, cfg.num_trials)
+        b = _perturbation_rows(x, y, _shift_sums(cfg, psd, self.kernel))
+        rp1 = cfg.spacing_hz * np.abs(b) ** 2
+        erp1 = cfg.spacing_hz * np.abs(b - weight * x) ** 2
+        np.testing.assert_allclose(v_rp1, rp1, rtol=1e-12,
+                                   atol=1e-14 * rp1.max())
+        np.testing.assert_allclose(v_erp1, erp1, rtol=1e-12,
+                                   atol=1e-14 * erp1.max())
+        assert not np.allclose(v_rp1, v_erp1)
+
     def test_difference_to_rp1_is_phase_rotation_term(self):
-        field = draw_field(self.cfg, self.psd, 1)
-        rp1 = rp1_perturbation(field, self.kernel, self.cfg, self.psd)
-        erp1 = erp1_perturbation(field, self.kernel, self.cfg, self.psd)
-        phi = self.psd.p0_w * self.kernel.k0.real
         px_d, py_d = discrete_powers(self.cfg, self.psd)
-        diff_x = erp1.lines_x - rp1.lines_x
-        diff_y = erp1.lines_y - rp1.lines_y
-        np.testing.assert_allclose(
-            diff_x, 1j * phi * (2.0 * px_d + py_d) * field.lines_x,
-            rtol=1e-12, atol=1e-15 * np.max(np.abs(diff_x)))
-        np.testing.assert_allclose(
-            diff_y, 1j * phi * (py_d * 2.0 + px_d) * field.lines_y,
-            rtol=1e-12, atol=1e-15 * np.max(np.abs(diff_x)))
+        self.assert_erp1_subtracts(self.psd, 2.0 * px_d + py_d)
+        # Y is X of the swapped input: its weight is 2Py + Px
+        self.assert_erp1_subtracts(self.psd.swapped(), py_d * 2.0 + px_d)
 
     def test_discrete_powers_are_grid_sums(self):
         px_d, py_d = discrete_powers(self.cfg, self.psd)
@@ -276,15 +313,9 @@ class TestErp1:
 
     def test_zero_partner_reduces_weight_to_2px(self):
         psd = DualPolPsd(self.psd.gx, zero_shape(), 1e-3)
-        field = draw_field(self.cfg, psd, 1)
-        rp1 = rp1_perturbation(field, self.kernel, self.cfg, psd)
-        erp1 = erp1_perturbation(field, self.kernel, self.cfg, psd)
-        phi = psd.p0_w * self.kernel.k0.real
-        px_d, _ = discrete_powers(self.cfg, psd)
-        on = field.lines_x != 0
-        ratio = (erp1.lines_x[on] - rp1.lines_x[on]) \
-            / (1j * phi * field.lines_x[on])
-        np.testing.assert_allclose(ratio, 2.0 * px_d, rtol=1e-12)
+        px_d, py_d = discrete_powers(self.cfg, psd)
+        assert py_d == 0
+        self.assert_erp1_subtracts(psd, 2.0 * px_d)
 
 
 class TestEstimator:
@@ -301,10 +332,8 @@ class TestEstimator:
         # the estimator normalization applied to the raw lines gives Ghat(k f0)
         cfg = self.cfg(num_trials=3000)
         ghat = self.psd.gx.evaluate(cfg.frequencies_hz)
-        values = np.empty((cfg.num_trials, cfg.num_lines + 1))
-        for t in range(cfg.num_trials):
-            lines = draw_field(cfg, self.psd, t).lines_x
-            values[t] = cfg.spacing_hz * np.abs(lines) ** 2
+        lines = draw_block(cfg, self.psd, 0, cfg.num_trials)[0]
+        values = cfg.spacing_hz * np.abs(lines) ** 2
         mean = values.mean(axis=0)
         stderr = values.std(axis=0, ddof=1) / math.sqrt(cfg.num_trials)
         on = ghat > 0
