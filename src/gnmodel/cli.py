@@ -12,12 +12,14 @@ Subcommands
     moments     statistical checks of the moment machinery
                 (--theorem {1,2,3}, --k, --trials, --seed)
 
-Exit codes: 0 success; 1 configuration error; 2 numerical-convergence
-failure; 3 statistical-check failure (moments).  Outputs are written
-atomically (temp file in the target directory, then rename) and every file
-starts with a comment header holding the tool version and the full resolved
-configuration, so identical configurations produce byte-identical files
-regardless of --threads.
+Exit codes: 0 success; 1 configuration error (a bad --output path too,
+checked before any work); 2 numerical failure (a kernel quadrature that does
+not converge, or an engine value that is not finite: nothing is written);
+3 statistical-check failure (moments).  Outputs are written atomically (temp
+file in the target directory, then rename) and every file starts with a
+comment header holding the tool version and the full resolved configuration,
+so identical configurations produce byte-identical files regardless of
+--threads.
 """
 from __future__ import annotations
 
@@ -31,15 +33,13 @@ import tempfile
 
 import numpy as np
 
+# the engines a subcommand runs (gn, montecarlo, moments) are imported inside
+# its runner: a process loads only those, and each engine function is looked
+# up in its defining module at call time, never held in this module
 from .config import RunConfig, load_config
 from .errors import ConfigError
-from .gn import GnRequest, nli_psd_x
 from .kernel import (KernelConvergenceError, KernelModel, kernel_closed_form,
                      kernel_quadrature)
-from .moments import (StationaryProcessSet, abs_z_score,
-                      theorem1_discrete_check, theorem2_check,
-                      theorem3_discrete_check)
-from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
 from .parallel import ordered_map
 from .version import __version__
 
@@ -129,6 +129,29 @@ def _csv(command: str, resolved: dict, columns: str, rows, footer=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _NonFiniteResult(ArithmeticError):
+    """An engine returned NaN or an infinity (exit 2, nothing written)."""
+
+
+def _require_finite(**columns) -> None:
+    """Raise _NonFiniteResult naming the first column that is not all finite."""
+    for name, values in columns.items():
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise _NonFiniteResult(f"{name} is not finite at {bad} of "
+                                   f"{np.size(values)} points")
+
+
+def _check_output(path: str) -> None:
+    """An --output the atomic write could not create fails before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--output {path}: directory {directory} does not "
+                          f"exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"--output {path} is a directory")
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gnmodel-", suffix=".tmp")
@@ -200,6 +223,7 @@ def _run_kernel(args, cfg: RunConfig):
                 raise value
         k_values, k0 = np.array(values[:-1]), values[-1]
     eta = k_values / k0
+    _require_finite(K=k_values, eta=eta)
 
     resolved = dict(cfg.resolved)
     resolved.update({f"cli.{key}": getattr(args, key) for key in
@@ -213,6 +237,7 @@ def _run_kernel(args, cfg: RunConfig):
 def _gn_request(psd, model, grid, step, include_phase_term):
     """The GN request for X; a request the engine rejects is a configuration
     error."""
+    from .gn import GnRequest
     try:
         return GnRequest(psd=psd, kernel=model, output_grid_hz=grid,
                          inner_grid_step_hz=step,
@@ -222,10 +247,14 @@ def _gn_request(psd, model, grid, step, include_phase_term):
 
 
 def _run_psd(args, cfg: RunConfig):
+    from .gn import nli_psd_x
     psd, grid = cfg.require_signal(), cfg.require_output_grid()
     request = _gn_request(psd, _kernel_model(cfg), grid,
                           cfg.inner_grid_step_hz, cfg.include_phase_term)
     result = nli_psd_x(request, threads=args.threads)
+    _require_finite(spm=result.spm, xpolm=result.xpolm, phase=result.phase,
+                    total_normalized=result.total,
+                    total_absolute_W_per_Hz=result.total_absolute_w_per_hz)
 
     rows = zip(result.frequencies_hz, result.spm, result.xpolm, result.phase,
                result.total, result.total_absolute_w_per_hz)
@@ -234,6 +263,9 @@ def _run_psd(args, cfg: RunConfig):
 
 
 def _run_montecarlo(args, cfg: RunConfig):
+    from .gn import nli_psd_x
+    from .moments import abs_z_score
+    from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
     psd = cfg.require_signal()
     model = _kernel_model(cfg)
     params, resolved = _merge_flags(args, cfg, "montecarlo")
@@ -246,6 +278,8 @@ def _run_montecarlo(args, cfg: RunConfig):
                           trial_cfg.mode == MODE_RP1)
     estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
     analytic = nli_psd_x(request, threads=args.threads).total
+    _require_finite(mc_mean=estimate.mean, mc_stderr=estimate.stderr,
+                    analytic=analytic)
 
     rows = [(f, mean, err, gn, abs_z_score(mean - gn, err)) for f, mean, err, gn
             in zip(estimate.frequencies_hz, estimate.mean, estimate.stderr,
@@ -255,6 +289,8 @@ def _run_montecarlo(args, cfg: RunConfig):
 
 
 def _run_moments(args, cfg: RunConfig):
+    from .moments import (StationaryProcessSet, theorem1_discrete_check,
+                          theorem2_check, theorem3_discrete_check)
     params, resolved = _merge_flags(args, cfg, "moments")
     theorem = params["theorem"]
     if theorem not in (1, 2, 3):
@@ -308,6 +344,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
+        _check_output(args.output)
         cfg = load_config(args.config)
         text, ok = _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
@@ -315,6 +352,9 @@ def run(argv=None) -> int:
         return 1
     except KernelConvergenceError as exc:
         print(f"gnmodel: convergence failure: {exc}", file=sys.stderr)
+        return 2
+    except _NonFiniteResult as exc:
+        print(f"gnmodel: non-finite result: {exc}", file=sys.stderr)
         return 2
     _atomic_write(args.output, text)
     return 0 if ok else 3

@@ -48,7 +48,6 @@ __all__ = [
     "abs_z_score",
     "cgmt_sum",
     "mc_moment",
-    "fourth_moment_identity",
     "theorem1_discrete_check",
     "theorem2_check",
     "theorem3_discrete_check",
@@ -182,14 +181,6 @@ def _mean_stderr(prod: np.ndarray) -> tuple[complex, complex]:
     scale = 1.0 / math.sqrt(prod.size)
     return complex(prod.mean()), complex(np.std(prod.real, ddof=1) * scale,
                                          np.std(prod.imag, ddof=1) * scale)
-
-
-def fourth_moment_identity(ensemble: GaussianEnsemble, indices) -> complex:
-    """E[U_i1* U_i2* U_i3 U_i4] = E[U_i1* U_i3] E[U_i2* U_i4]
-                                + E[U_i1* U_i4] E[U_i2* U_i3]."""
-    i1, i2, i3, i4 = (int(i) for i in indices)
-    cov = ensemble.covariance
-    return cov[i3, i1] * cov[i4, i2] + cov[i4, i1] * cov[i3, i2]
 
 
 # ---------------------------------------------------------------------------

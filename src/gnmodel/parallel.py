@@ -6,11 +6,11 @@ every task its own inputs and random stream and collect the returned list.
 The work overlaps only where NumPy releases the GIL (Philox fills, einsum,
 BLAS, array arithmetic).  Workers take items in the order given, so a caller
 whose tasks differ in cost may pass them dearest first and scatter the
-results back to its own order; the values cannot change.
+results back to its own order; the values cannot change.  The thread pool
+machinery (``concurrent.futures``, with ``logging``) is imported on the first
+call with ``threads`` > 1, so a serial process never loads it.
 """
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["ordered_map"]
 
@@ -19,6 +19,7 @@ def ordered_map(fn, items, threads: int) -> list:
     """``[fn(item) for item in items]``, on ``threads`` worker threads when
     ``threads`` > 1; the first exception a task raises propagates."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

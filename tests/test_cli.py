@@ -213,6 +213,21 @@ class TestKernelCommand:
         assert np.array_equal(column(rows, columns, "re_K"), serial.real)
         assert np.array_equal(column(rows, columns, "im_K"), serial.imag)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_kernel_exits_2_and_writes_nothing(self, tmp_path,
+                                                          capsys):
+        # theta = (2 pi)^2 F overflows at |F| near 1e308: the engine returns
+        # NaN, which must not be written as data
+        path = tmp_path / "three_span.yaml"
+        path.write_text(textwrap.dedent(THREE_SPAN))
+        out = tmp_path / "never.csv"
+        assert run(["--config", str(path), "--output", str(out), "kernel",
+                    "--spacing", "linear", "--f-min-hz2", "-1e300",
+                    "--f-max-hz2", "1e308", "--points", "3"]) == 2
+        assert not out.exists()
+        assert "gnmodel: non-finite result: K is not finite" in \
+            capsys.readouterr().err
+
 
 class TestPsdCommand:
     def test_matches_library(self, config_path, tmp_path):
@@ -510,6 +525,19 @@ class TestDriver:
                     "0", "psd"]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("output", ["absent/run.csv", "."])
+    def test_bad_output_exits_1_before_any_trial(self, config_path, tmp_path,
+                                                 capsys, output):
+        # a ruinous trial count proves the path is checked up front: a
+        # missing directory, or a directory where the file should go
+        out = tmp_path / output
+        assert run(["--config", config_path, "--output", str(out),
+                    "montecarlo", "--trials", str(10**9)]) == 1
+        assert f"configuration error: --output {out}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "absent").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
     def test_output_overwrite_and_no_temp_leftovers(self, config_path,
                                                     tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnmodel import (CheckReport, ConfigError, GaussianEnsemble, MomentSpec,
-                     StationaryProcessSet, cgmt_sum, fourth_moment_identity,
-                     mc_moment, theorem1_discrete_check, theorem2_check,
+                     StationaryProcessSet, cgmt_sum, mc_moment,
+                     theorem1_discrete_check, theorem2_check,
                      theorem3_discrete_check)
 from gnmodel import moments
 from gnmodel.moments import _line_moment, _mean_stderr, _score
@@ -56,6 +56,15 @@ class TestMomentSpec:
         with pytest.raises(ValueError, match="same nonzero number"):
             MomentSpec(conjugated=(), unconjugated=())
         assert MomentSpec((0, 1, 2), (2, 1, 0)).order == 3
+
+
+def fourth_moment_identity(ensemble, indices) -> complex:
+    """The k = 2 oracle of cgmt_sum:
+    E[U_i1* U_i2* U_i3 U_i4] = E[U_i1* U_i3] E[U_i2* U_i4]
+                             + E[U_i1* U_i4] E[U_i2* U_i3]."""
+    i1, i2, i3, i4 = (int(i) for i in indices)
+    cov = ensemble.covariance
+    return cov[i3, i1] * cov[i4, i2] + cov[i4, i1] * cov[i3, i2]
 
 
 class TestCgmtSum:
