@@ -23,9 +23,9 @@ _EXPORTS = {
     "link": ("Span", "LinkProfile", "power_gain", "cumulated_dispersion"),
     "spectra": ("PsdShape", "RectangularPsd", "RaisedCosinePsd",
                 "TabulatedPsd", "DualPolPsd", "phase_rotation_weight"),
-    "kernel": ("KernelModel", "KernelConvergenceError", "NonlinearPhase",
-               "kernel_closed_form", "kernel_quadrature", "normalized_kernel",
-               "normalized_kernel_grid", "nonlinear_phase"),
+    "kernel": ("KernelModel", "KernelConvergenceError", "kernel_closed_form",
+               "kernel_quadrature", "normalized_kernel",
+               "normalized_kernel_grid"),
     "gn": ("GnRequest", "NliPsdResult", "nli_psd_x", "nli_psd_y",
            "phase_term_coefficient"),
     "montecarlo": ("MODE_RP1", "MODE_DP_ERP1", "TrialConfig", "PsdEstimate",

@@ -10,17 +10,23 @@ Sections: ``link`` (spans), ``signal`` (dual-pol PSDs + P0), ``kernel``
 (quadrature controls), ``psd`` (GN output grid), ``montecarlo``, ``moments``.
 Only ``link`` and ``signal`` describe physics; the rest carry numerical
 parameters with defaults.  Sections may be omitted when the subcommand that
-needs them is not run.
+needs them is not run, but every section present is checked in full on
+load, whichever subcommand runs: no output header records a value that
+another subcommand would reject.
 
 Schema: each mapping (a section, one span, one shape) is declared once as
-rows of ``(key, type, default)``; a row without a default is a required
-key.  One reader checks a mapping against its rows: it rejects unknown keys,
-type-checks each value (bool, int, finite float or str), applies the
+rows of ``(key, type, default, range)``; a row without a default is a
+required key, and a range is a ``(predicate, phrase)`` pair.  One reader
+checks a value against its row, the type (bool, int, finite float or str)
+and then the range, failing with ``<where>.<key> must be <phrase>, got
+<value>``; a command-line flag that overrides a key goes through the same
+row (``check_flag``).  A mapping's reader rejects unknown keys, applies the
 defaults and records every value under ``"<where>.<key>"`` in the resolved
-map, from which the output header is written.  A shape's ``kind`` selects
-its constructor and rows from ``_SHAPES``; the shape keys are the
-constructor's argument names.  Span keys are converted to ``Span`` fields
-through ``_SPAN_SI``.
+map, from which the output header is written.  Rules that tie keys
+together, or that are an engine's own limit, stay with their code.  A
+shape's ``kind`` selects its constructor and rows from ``_SHAPES``; the
+shape keys are the constructor's argument names.  Span keys are converted
+to ``Span`` fields through ``_SPAN_SI``.
 
 All failures raise ConfigError (CLI exit code 1).
 """
@@ -38,7 +44,7 @@ from .link import LinkProfile, Span
 from .spectra import (DualPolPsd, RaisedCosinePsd, RectangularPsd,
                       TabulatedPsd)
 
-__all__ = ["RunConfig", "load_config"]
+__all__ = ["RunConfig", "load_config", "check_flag"]
 
 # unit conversions to SI
 _KM = 1.0e3                                 # km -> m
@@ -58,7 +64,6 @@ _SPAN_SI = {"length_km": ("length_m", _KM),
             "gamma_per_w_km": ("gamma_per_w_m", _PER_W_KM),
             "lumped_gain_db": ("lumped_gain_db", 1.0)}
 _SIGNAL = (("p0_w", float),)
-_KIND = (("kind", str),)
 # shape kind -> (constructor, rows)
 _SHAPES = {
     "rectangular": (RectangularPsd, (("center_hz", float, 0.0),
@@ -73,18 +78,47 @@ _SHAPES = {
     "none": (lambda: RectangularPsd(center_hz=0.0, bandwidth_hz=1.0,
                                     height=0.0), ()),
 }
-_KERNEL = (("quadrature_tolerance", float, 1.0e-10),
-           ("max_cells_per_span", int, 1 << 21))
+
+
+# a range is (predicate, phrase): "<where>.<key> must be <phrase>"
+def _at_least(low):
+    return (lambda value: value >= low), f"at least {low}"
+
+
+def _one_of(*choices):
+    return (lambda value: value in choices), \
+        f"one of {', '.join(map(str, choices))}"
+
+
+_POSITIVE = (lambda value: value > 0), "> 0"
+_SEED = (lambda value: 0 <= value < 2**64), "in [0, 2**64)"
+_REQUIRED = object()    # no default: written out where a range follows
+
+_KIND = (("kind", str, _REQUIRED, _one_of(*_SHAPES)),)
+# the quadrature starts at 8 cells per span and doubles at least once
+_KERNEL = (("quadrature_tolerance", float, 1.0e-10, _POSITIVE),
+           ("max_cells_per_span", int, 1 << 21, _at_least(16)))
 _PSD = (("include_phase_term", bool, True), ("inner_grid_step_hz", float),
         ("output_min_hz", float), ("output_max_hz", float),
-        ("output_points", int))
-_MONTECARLO = (("mode", str, "rp1"), ("num_lines", int, 64),
-               ("spacing_hz", float, 1.0e9), ("num_trials", int, 2000),
-               ("seed", int, 12345), ("edge_margin", float, 0.1))
-_MOMENTS = (("theorem", int, 3), ("k", int, 2), ("num_ensembles", int, 20),
-            ("trials", int, 200_000), ("seed", int, 54321),
-            ("grid_size", int, 32), ("num_processes", int, 6),
-            ("num_sources", int, 4))
+        ("output_points", int, _REQUIRED, _at_least(2)))
+# num_lines is M: the grid holds the M + 1 lines k f0, |k| <= M/2
+_MONTECARLO = (
+    ("mode", str, "rp1", _one_of("rp1", "erp1")),
+    ("num_lines", int, 64,
+     ((lambda value: value >= 8 and value % 2 == 0), "even and at least 8")),
+    ("spacing_hz", float, 1.0e9, _POSITIVE),
+    ("num_trials", int, 2000, _at_least(1)), ("seed", int, 12345, _SEED),
+    ("edge_margin", float, 0.1,
+     ((lambda value: 0.0 <= value < 0.5), "in [0, 0.5)")))
+_MOMENTS = (("theorem", int, 3, _one_of(1, 2, 3)), ("k", int, 2),
+            ("num_ensembles", int, 20, _at_least(1)),
+            ("trials", int, 200_000, _at_least(2)),
+            ("seed", int, 54321, _SEED), ("grid_size", int, 32, _at_least(1)),
+            ("num_processes", int, 6, _at_least(1)),
+            ("num_sources", int, 4, _at_least(1)))
+# the sections of numerical parameters, which flags may override
+_SECTIONS = {"kernel": _KERNEL, "psd": _PSD, "montecarlo": _MONTECARLO,
+             "moments": _MOMENTS}
 
 _EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
 
@@ -113,13 +147,25 @@ def _typed(value, kind, name: str):
     raise ConfigError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
 
 
-def _value(node: dict, where: str, row):
-    key, kind, *default = row
-    if key in node:
-        return _typed(node[key], kind, f"{where}.{key}")
-    if not default:
-        raise ConfigError(f"missing required key {where}.{key}")
-    return default[0]
+def _value(node: dict, where: str, key: str, kind, default=_REQUIRED,
+           accepted=None):
+    """``node[key]`` checked against one schema row, or the row's default."""
+    name = f"{where}.{key}"
+    if key not in node:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {name}")
+        return default
+    value = _typed(node[key], kind, name)
+    if accepted is not None and not accepted[0](value):
+        raise ConfigError(f"{name} must be {accepted[1]}, got {value!r}")
+    return value
+
+
+def check_flag(section: str, key: str, value):
+    """A flag's value for ``<section>.<key>``, checked by the key's row as
+    the same value in the file would be."""
+    row, = (row for row in _SECTIONS[section] if row[0] == key)
+    return _value({key: value}, section, *row)
 
 
 def _read(node, where: str, rows, resolved: dict, nested=()) -> dict:
@@ -133,7 +179,7 @@ def _read(node, where: str, rows, resolved: dict, nested=()) -> dict:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     values = {}
     for row in rows:
-        values[row[0]] = resolved[f"{where}.{row[0]}"] = _value(node, where, row)
+        values[row[0]] = resolved[f"{where}.{row[0]}"] = _value(node, where, *row)
     return values
 
 
@@ -157,10 +203,7 @@ def _parse_link(node, resolved) -> LinkProfile:
 
 
 def _parse_shape(node, where: str, base_dir: str, resolved):
-    kind = _value(_require_mapping(node, where), where, _KIND[0])
-    if kind not in _SHAPES:
-        raise ConfigError(f"{where}.kind must be one of rectangular, "
-                          f"raised_cosine, tabulated, none; got {kind!r}")
+    kind = _value(_require_mapping(node, where), where, *_KIND[0])
     constructor, rows = _SHAPES[kind]
     params = _read(node, where, _KIND + rows, resolved)
     del params["kind"]
@@ -231,7 +274,7 @@ def load_config(path: str) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse configuration file {path}: {exc}") from None
     _read(root, "configuration root", (), {},
-          nested=("link", "signal", "kernel", "psd", "montecarlo", "moments"))
+          nested=("link", "signal", *_SECTIONS))
     base_dir = os.path.dirname(os.path.abspath(path))
     resolved: dict = {}
 
@@ -240,13 +283,6 @@ def load_config(path: str) -> RunConfig:
         if "signal" in root else None
 
     kernel = _read(root.get("kernel", {}), "kernel", _KERNEL, resolved)
-    if not kernel["quadrature_tolerance"] > 0:
-        raise ConfigError("kernel.quadrature_tolerance must be > 0, got "
-                          f"{kernel['quadrature_tolerance']!r}")
-    # the quadrature starts at 8 cells per span and doubles at least once
-    if kernel["max_cells_per_span"] < 16:
-        raise ConfigError("kernel.max_cells_per_span must be at least 16, got "
-                          f"{kernel['max_cells_per_span']}")
 
     psd = {"include_phase_term": True, "inner_grid_step_hz": None}
     output_grid = None
@@ -254,8 +290,6 @@ def load_config(path: str) -> RunConfig:
         psd = _read(root["psd"], "psd", _PSD, resolved)
         if not psd["output_max_hz"] > psd["output_min_hz"]:
             raise ConfigError("psd.output_max_hz must exceed psd.output_min_hz")
-        if psd["output_points"] < 2:
-            raise ConfigError("psd.output_points must be at least 2")
         output_grid = np.linspace(psd["output_min_hz"], psd["output_max_hz"],
                                   psd["output_points"])
 

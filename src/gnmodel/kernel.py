@@ -27,18 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .link import LinkProfile
-from .spectra import phase_rotation_weight
 
 __all__ = [
     "PHASE_RATE",
     "KernelModel",
     "KernelConvergenceError",
-    "NonlinearPhase",
     "kernel_closed_form",
     "kernel_quadrature",
     "normalized_kernel",
     "normalized_kernel_grid",
-    "nonlinear_phase",
 ]
 
 # theta = PHASE_RATE * F converts the frequency product to a phase rate per
@@ -232,32 +229,3 @@ def normalized_kernel_grid(model: KernelModel, F):
     """
     F = np.asarray(F, dtype=float)
     return (kernel_closed_form(model, F.ravel()) / model.k0).reshape(F.shape)
-
-
-@dataclass(frozen=True)
-class NonlinearPhase:
-    """Cumulated nonlinear phases at the link end, in radians.
-
-    phi_nl = P0*K(0) is the reference nonlinear phase; phi_x and phi_y are
-    the average ERP rotation phases K(0)*(2Px+Py) and K(0)*(2Py+Px).
-    """
-
-    p0_w: float
-    phi_nl: float
-    phi_x: float
-    phi_y: float
-
-
-def nonlinear_phase(model: KernelModel, p0: float, px: float, py: float) -> NonlinearPhase:
-    """Nonlinear phases for reference power p0 and absolute powers px, py (W)."""
-    if not p0 > 0:
-        raise ValueError(f"p0 must be > 0 W, got {p0}")
-    if px < 0 or py < 0:
-        raise ValueError(f"px, py must be >= 0 W, got {px}, {py}")
-    k0 = model.k0.real
-    return NonlinearPhase(
-        p0_w=p0,
-        phi_nl=p0 * k0,
-        phi_x=k0 * phase_rotation_weight(px, py),
-        phi_y=k0 * phase_rotation_weight(py, px),
-    )

@@ -409,8 +409,6 @@ def theorem2_check(k: int, num_ensembles: int, trials: int, seed: int,
     """
     if not 1 <= k <= MAX_MOMENT_ORDER:
         raise ConfigError(f"k must be in [1, {MAX_MOMENT_ORDER}], got {k}")
-    if num_ensembles < 1:
-        raise ConfigError(f"need at least 1 ensemble, got {num_ensembles}")
     dim = 2 * k
     spec = MomentSpec(conjugated=tuple(range(k)),
                       unconjugated=tuple(range(k, 2 * k)))

@@ -17,9 +17,14 @@ __all__ = ["ordered_map"]
 
 def ordered_map(fn, items, threads: int) -> list:
     """``[fn(item) for item in items]``, on ``threads`` worker threads when
-    ``threads`` > 1; the first exception a task raises propagates."""
+    ``threads`` > 1; the first exception a task raises propagates.  Each
+    task runs in a copy of the caller's context, so the caller's NumPy error
+    state (``np.errstate``) holds on the workers too."""
     if threads > 1:
+        import contextvars
         from concurrent.futures import ThreadPoolExecutor
+        context = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+            return list(pool.map(lambda item: context.copy().run(fn, item),
+                                 items))
     return [fn(item) for item in items]

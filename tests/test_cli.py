@@ -4,11 +4,13 @@ import textwrap
 
 import numpy as np
 import pytest
+import yaml
 
 from gnmodel import (GnRequest, KernelConvergenceError, KernelModel,
                      TrialConfig, estimate_nli_psd, kernel_closed_form,
                      kernel_quadrature, load_config, nli_psd_x)
 from gnmodel.cli import main, run
+from gnmodel.config import check_flag
 
 CONFIG = """
 link:
@@ -213,11 +215,12 @@ class TestKernelCommand:
         assert np.array_equal(column(rows, columns, "re_K"), serial.real)
         assert np.array_equal(column(rows, columns, "im_K"), serial.imag)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_kernel_exits_2_and_writes_nothing(self, tmp_path,
                                                           capsys):
         # theta = (2 pi)^2 F overflows at |F| near 1e308: the engine returns
-        # NaN, which must not be written as data
+        # NaN, which must not be written as data.  The CLI's message is the
+        # only line on stderr: NumPy warns of nothing (a warning would raise)
         path = tmp_path / "three_span.yaml"
         path.write_text(textwrap.dedent(THREE_SPAN))
         out = tmp_path / "never.csv"
@@ -225,8 +228,26 @@ class TestKernelCommand:
                     "--spacing", "linear", "--f-min-hz2", "-1e300",
                     "--f-max-hz2", "1e308", "--points", "3"]) == 2
         assert not out.exists()
-        assert "gnmodel: non-finite result: K is not finite" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("gnmodel: non-finite result: K is not finite")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_on_quadrature_workers_warns_of_nothing(self, tmp_path,
+                                                             capsys):
+        # the same F on two worker threads: NumPy's error state follows the
+        # tasks, so the convergence failure is again the one stderr line
+        path = tmp_path / "three_span.yaml"
+        path.write_text(textwrap.dedent(THREE_SPAN)
+                        + "kernel:\n  max_cells_per_span: 64\n")
+        assert run(["--config", str(path), "--output",
+                    str(tmp_path / "never.csv"), "--threads", "2", "kernel",
+                    "--spacing", "linear", "--f-min-hz2", "-1e300",
+                    "--f-max-hz2", "1e308", "--points", "3",
+                    "--method", "quadrature"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gnmodel: convergence failure: ")
+        assert err.count("\n") == 1
 
 
 class TestPsdCommand:
@@ -396,7 +417,7 @@ class TestMomentsCommand:
     def test_invalid_parameters_exit_1(self, config_path, tmp_path):
         out = tmp_path / "never.csv"
         base = ["--config", config_path, "--output", str(out), "moments"]
-        assert run(base + ["--theorem", "4"]) == 1       # argparse choice
+        assert run(base + ["--theorem", "4"]) == 1
         assert run(base + ["--theorem", "2", "--k", "9"]) == 1
         assert run(base + ["--trials", "1"]) == 1
         assert run(base + ["--theorem", "2", "--seed", "-7"]) == 1
@@ -412,6 +433,77 @@ class TestMomentsCommand:
             assert run(["--config", str(path), "--output", str(out),
                         "moments", "--theorem", theorem]) == 1, key
         assert not out.exists()
+
+
+# every declared range: (key, its flag as (subcommand, flag) or None,
+# out-of-range values, values at the edge of the range)
+RANGES = [
+    ("kernel.quadrature_tolerance", None, [0.0, -1.0e-9], [5e-324]),
+    ("kernel.max_cells_per_span", None, [15, 0, -8], [16]),
+    ("psd.output_points", None, [1], [2]),
+    ("montecarlo.mode", ("montecarlo", "--mode"), ["rp2", "foo"],
+     ["rp1", "erp1"]),
+    ("montecarlo.num_lines", ("montecarlo", "--lines"), [15, 6, 7], [8]),
+    ("montecarlo.spacing_hz", ("montecarlo", "--spacing-hz"), [0.0, -1.0e9],
+     [5e-324]),
+    ("montecarlo.num_trials", ("montecarlo", "--trials"), [0], [1]),
+    ("montecarlo.seed", ("montecarlo", "--seed"), [-1, 2**64],
+     [0, 2**64 - 1]),
+    ("montecarlo.edge_margin", None, [0.5, -0.1], [0.0, 0.4999]),
+    ("moments.theorem", ("moments", "--theorem"), [4, 0, 9], [1, 2, 3]),
+    ("moments.trials", ("moments", "--trials"), [1], [2]),
+    ("moments.seed", ("moments", "--seed"), [-7, 2**64], [0, 2**64 - 1]),
+    ("moments.num_ensembles", None, [0, -3], [1]),
+    ("moments.grid_size", None, [0, -1], [1]),
+    ("moments.num_processes", None, [0, -1], [1]),
+    ("moments.num_sources", None, [0, -1], [1]),
+]
+
+
+def config_with(tmp_path, key, value):
+    """CONFIG with ``key`` (section.name) set to ``value``."""
+    root = yaml.safe_load(CONFIG)
+    section, name = key.split(".")
+    root.setdefault(section, {})[name] = value
+    path = tmp_path / "set.yaml"
+    path.write_text(yaml.safe_dump(root))
+    return str(path)
+
+
+class TestRanges:
+    """Each key's range is checked on load, in every section whichever
+    subcommand runs, and a flag's value gets the same check and message."""
+
+    @pytest.mark.parametrize("key,flag,bad,edge", RANGES,
+                             ids=[r[0] for r in RANGES])
+    def test_out_of_range_exits_1(self, config_path, tmp_path, capsys, key,
+                                  flag, bad, edge):
+        out = tmp_path / "never.csv"
+        for value in bad:
+            # a psd run reads no montecarlo or moments parameter, yet its
+            # header records them: it must reject a bad one too
+            assert run(["--config", config_with(tmp_path, key, value),
+                        "--output", str(out), "psd"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"gnmodel: configuration error: {key} "
+                                  f"must be ")
+            assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
+            if flag:
+                command, name = flag
+                assert run(["--config", config_path, "--output", str(out),
+                            command, name, str(value)]) == 1
+                assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,flag,bad,edge", RANGES,
+                             ids=[r[0] for r in RANGES])
+    def test_edge_of_range_is_accepted(self, tmp_path, key, flag, bad, edge):
+        section, name = key.split(".")
+        for value in edge:
+            cfg = load_config(config_with(tmp_path, key, value))
+            assert cfg.resolved[key] == value
+            if flag:
+                assert check_flag(section, name, value) == value
 
 
 HEADER_CONFIG = """

@@ -1,4 +1,5 @@
 """YAML configuration loading: units, validation, defaults, resolved map."""
+import argparse
 import math
 import textwrap
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gnmodel import (ConfigError, RaisedCosinePsd, RectangularPsd,
-                     TabulatedPsd, load_config)
+                     TabulatedPsd, cli, config, load_config)
 
 FULL = """
 link:
@@ -347,3 +348,27 @@ class TestRejections:
         """
         with pytest.raises(ConfigError, match="at least 2"):
             load_config(write(tmp_path, bad_points))
+
+
+class TestSchema:
+    def test_every_default_passes_its_own_row(self):
+        tables = [config._LINK, config._SPAN, config._SIGNAL, config._KIND,
+                  *(rows for _, rows in config._SHAPES.values()),
+                  *config._SECTIONS.values()]
+        for rows in tables:
+            for key, kind, *rest in rows:
+                if rest and rest[0] is not config._REQUIRED:
+                    # read back as if the file gave it: type and range hold
+                    assert config._value({key: rest[0]}, "default", key,
+                                         kind, *rest) == rest[0], key
+
+    def test_every_override_flag_names_a_key_of_its_section(self):
+        # a flag whose dest is no key of its section would be ignored
+        subparsers, = (action for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        for section in ("montecarlo", "moments"):
+            keys = {row[0] for row in config._SECTIONS[section]}
+            dests = {action.dest for action
+                     in subparsers.choices[section]._actions
+                     if action.dest != "help"}
+            assert dests and dests <= keys, dests - keys

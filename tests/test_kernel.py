@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gnmodel import (KernelConvergenceError, KernelModel, LinkProfile, Span,
-                     kernel_closed_form, kernel_quadrature, nonlinear_phase,
-                     normalized_kernel, normalized_kernel_grid)
+                     kernel_closed_form, kernel_quadrature, normalized_kernel,
+                     normalized_kernel_grid)
 from gnmodel.kernel import PHASE_RATE, _exp_ratio
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
@@ -318,19 +318,3 @@ class TestKernelInvariants:
         assert np.array_equal(_bits(negative.real), _bits(conjugate.real))
         assert normalized_kernel(model, 0.0) == 1.0 + 0.0j
 
-
-class TestNonlinearPhase:
-    def test_values(self):
-        model = single_span_model()
-        result = nonlinear_phase(model, p0=1e-3, px=2e-3, py=1e-3)
-        k0 = model.k0.real
-        assert result.phi_nl == pytest.approx(1e-3 * k0, rel=1e-15)
-        assert result.phi_x == pytest.approx(k0 * (2 * 2e-3 + 1e-3), rel=1e-15)
-        assert result.phi_y == pytest.approx(k0 * (2 * 1e-3 + 2e-3), rel=1e-15)
-
-    def test_validation(self):
-        model = single_span_model()
-        with pytest.raises(ValueError):
-            nonlinear_phase(model, p0=0.0, px=1.0, py=1.0)
-        with pytest.raises(ValueError):
-            nonlinear_phase(model, p0=1e-3, px=-1.0, py=0.0)

@@ -313,8 +313,6 @@ class TestTheoremChecks:
             theorem2_check(0, num_ensembles=1, trials=100, seed=0)
         with pytest.raises(ConfigError, match="k must be"):
             theorem2_check(9, num_ensembles=1, trials=100, seed=0)
-        with pytest.raises(ConfigError, match="at least 1 ensemble"):
-            theorem2_check(2, num_ensembles=0, trials=100, seed=0)
 
     def test_theorem2_battery_passes(self):
         report = theorem2_check(2, num_ensembles=3, trials=60_000, seed=2024)

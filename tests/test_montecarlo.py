@@ -20,7 +20,7 @@ import gnmodel
 from gnmodel import (ConfigError, DualPolPsd, KernelModel, LinkProfile,
                      RaisedCosinePsd, RectangularPsd, Span, TrialConfig,
                      discrete_powers, estimate_nli_psd, in_band_mask,
-                     normalized_kernel, run_paired_trials,
+                     load_config, normalized_kernel, run_paired_trials,
                      validate_grid_coverage)
 from gnmodel.montecarlo import (_draw_rows, _line_amplitudes, _per_trial_values,
                                 _perturbation_rows, _shift_sums)
@@ -73,25 +73,22 @@ def double_sums(x, y, cfg, psd, kernel):
 
 
 class TestTrialConfig:
-    def test_rejects_bad_parameters(self):
-        good = dict(spacing_hz=1e9, num_lines=16, num_trials=10, seed=1)
-        for spacing in (0.0, math.inf):
-            with pytest.raises(ConfigError, match="spacing"):
-                TrialConfig(**{**good, "spacing_hz": spacing})
-        with pytest.raises(ConfigError, match="even"):
-            TrialConfig(**{**good, "num_lines": 15})
-        with pytest.raises(ConfigError, match="even"):
-            TrialConfig(**{**good, "num_lines": 6})
-        with pytest.raises(ConfigError, match="num_trials"):
-            TrialConfig(**{**good, "num_trials": 0})
-        with pytest.raises(ConfigError, match="seed"):
-            TrialConfig(**{**good, "seed": -1})
-        with pytest.raises(ConfigError, match="seed"):
-            TrialConfig(**{**good, "seed": 2**64})
-        with pytest.raises(ConfigError, match="mode"):
-            TrialConfig(**{**good, "mode": "rp2"})
-        with pytest.raises(ConfigError, match="margin"):
-            TrialConfig(**{**good, "edge_margin": 0.5})
+    def test_rejects_bad_parameters(self, tmp_path):
+        # the ranges are the configuration schema's: each value fails on load
+        path = tmp_path / "mc.yaml"
+        for key, value, match in (("spacing_hz", 0.0, "> 0"),
+                                  ("spacing_hz", ".inf", "finite"),
+                                  ("num_lines", 15, "even"),
+                                  ("num_lines", 6, "even"),
+                                  ("num_trials", 0, "at least 1"),
+                                  ("seed", -1, r"\[0, 2\*\*64\)"),
+                                  ("seed", 2**64, r"\[0, 2\*\*64\)"),
+                                  ("mode", "rp2", "one of rp1, erp1"),
+                                  ("edge_margin", 0.5, r"\[0, 0.5\)")):
+            path.write_text(f"montecarlo:\n  {key}: {value}\n")
+            with pytest.raises(ConfigError, match=f"montecarlo.{key} must be "
+                                                  f".*{match}"):
+                load_config(str(path))
 
     def test_grid_layout(self):
         cfg = TrialConfig(spacing_hz=2e9, num_lines=8, num_trials=1, seed=0)
