@@ -12,11 +12,13 @@ Subcommands
     moments     statistical checks of the moment machinery
                 (--theorem {1,2,3}, --k, --trials, --seed)
 
-Exit codes: 0 success; 1 configuration error (a value outside its key's
-range, in any section of the file or in a flag, or a bad --output path; all
-checked before any work); 2 numerical failure (a kernel quadrature that does
-not converge, or an engine value that is not finite: nothing is written);
-3 statistical-check failure (moments).  Outputs are written atomically (temp
+A flag's value is read by its key's schema row (``config.read_flags``; the
+kernel grid's keys are the ``cli`` rows).  Exit codes: 0 success; 1
+configuration error (``<key> must be <range>, got <value>`` for a value in
+any section of the file or in a flag, or a bad --output path; all checked
+before any work); 2 numerical failure (a kernel quadrature that does not
+converge, or an engine value that is not finite: nothing is written); 3
+statistical-check failure (moments).  Outputs are written atomically (temp
 file in the target directory, then rename) and every file starts with a
 comment header holding the tool version and the full resolved configuration,
 so identical configurations produce byte-identical files regardless of
@@ -37,7 +39,7 @@ import numpy as np
 # the engines a subcommand runs (gn, montecarlo, moments) are imported inside
 # its runner: a process loads only those, and each engine function is looked
 # up in its defining module at call time, never held in this module
-from .config import RunConfig, check_flag, load_config
+from .config import RunConfig, construct, load_config, read_flags
 from .errors import ConfigError
 from .kernel import (KernelConvergenceError, KernelModel, kernel_closed_form,
                      kernel_quadrature)
@@ -61,16 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gnmodel", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -85,12 +77,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     kernel = sub.add_parser("kernel", help="evaluate the link kernel on an F grid")
-    kernel.add_argument("--f-min-hz2", type=_finite_float, required=True)
-    kernel.add_argument("--f-max-hz2", type=_finite_float, required=True)
+    kernel.add_argument("--f-min-hz2", required=True)
+    kernel.add_argument("--f-max-hz2", required=True)
     kernel.add_argument("--points", type=int, required=True)
-    kernel.add_argument("--spacing", choices=("log", "linear"), default="log")
-    kernel.add_argument("--method", choices=("closed-form", "quadrature"),
-                        default="closed-form")
+    kernel.add_argument("--spacing")
+    kernel.add_argument("--method")
 
     sub.add_parser("psd", help="GN-model NLI PSD on the configured grid")
 
@@ -98,7 +89,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("--mode")
     mc.add_argument("--lines", type=int, dest="num_lines",
                     help="number of line spacings M")
-    mc.add_argument("--spacing-hz", type=_finite_float, help="line spacing f0")
+    mc.add_argument("--spacing-hz", help="line spacing f0")
     mc.add_argument("--trials", type=int, dest="num_trials")
     mc.add_argument("--seed", type=int)
 
@@ -166,20 +157,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _merge_flags(args, cfg: RunConfig, section: str):
-    """A section's parameters with every set flag applied (each flag's dest
-    is its config key, whose row checks the value), and the resolved map
-    updated to match."""
-    params = dict(getattr(cfg, section))
-    for key in params:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = check_flag(section, key, value)
-    resolved = dict(cfg.resolved)
-    resolved.update({f"{section}.{key}": value for key, value in params.items()})
-    return params, resolved
-
-
 def _kernel_model(cfg: RunConfig) -> KernelModel:
     return KernelModel(link=cfg.require_link(),
                        quadrature_tolerance=cfg.kernel_tolerance,
@@ -187,20 +164,20 @@ def _kernel_model(cfg: RunConfig) -> KernelModel:
 
 
 def _run_kernel(args, cfg: RunConfig):
-    if args.points < 1:
-        raise ConfigError("kernel --points must be at least 1")
-    if args.spacing == "log":
-        if not 0 < args.f_min_hz2 < args.f_max_hz2:
+    params, resolved = read_flags("cli", vars(args), cfg.resolved)
+    f_min, f_max = params["f_min_hz2"], params["f_max_hz2"]
+    if params["spacing"] == "log":
+        if not 0 < f_min < f_max:
             raise ConfigError("log spacing needs 0 < --f-min-hz2 < --f-max-hz2")
-        grid = np.logspace(math.log10(args.f_min_hz2),
-                           math.log10(args.f_max_hz2), args.points)
+        grid = np.logspace(math.log10(f_min), math.log10(f_max),
+                           params["points"])
     else:
-        if not args.f_min_hz2 < args.f_max_hz2:
+        if not f_min < f_max:
             raise ConfigError("--f-min-hz2 must be below --f-max-hz2")
-        grid = np.linspace(args.f_min_hz2, args.f_max_hz2, args.points)
+        grid = np.linspace(f_min, f_max, params["points"])
 
     model = _kernel_model(cfg)
-    if args.method == "closed-form":
+    if params["method"] == "closed-form":
         k_values = kernel_closed_form(model, grid)
         k0 = model.k0
     else:
@@ -227,32 +204,19 @@ def _run_kernel(args, cfg: RunConfig):
     eta = k_values / k0
     _require_finite(K=k_values, eta=eta)
 
-    resolved = dict(cfg.resolved)
-    resolved.update({f"cli.{key}": getattr(args, key) for key in
-                     ("f_min_hz2", "f_max_hz2", "points", "spacing", "method")})
     rows = [(f, k.real, k.imag, e.real, e.imag, abs(e))
             for f, k, e in zip(grid, k_values, eta)]
     return _csv("kernel", resolved, "F_Hz2,re_K,im_K,re_eta,im_eta,abs_eta",
                 rows), True
 
 
-def _gn_request(psd, model, grid, step, include_phase_term):
-    """The GN request for X; a request the engine rejects is a configuration
-    error."""
-    from .gn import GnRequest
-    try:
-        return GnRequest(psd=psd, kernel=model, output_grid_hz=grid,
-                         inner_grid_step_hz=step,
-                         include_phase_term=include_phase_term)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _run_psd(args, cfg: RunConfig):
-    from .gn import nli_psd_x
+    from .gn import GnRequest, nli_psd_x
     psd, grid = cfg.require_signal(), cfg.require_output_grid()
-    request = _gn_request(psd, _kernel_model(cfg), grid,
-                          cfg.inner_grid_step_hz, cfg.include_phase_term)
+    request = construct("psd", GnRequest, psd=psd, kernel=_kernel_model(cfg),
+                        output_grid_hz=grid,
+                        inner_grid_step_hz=cfg.inner_grid_step_hz,
+                        include_phase_term=cfg.include_phase_term)
     result = nli_psd_x(request, threads=args.threads)
     _require_finite(spm=result.spm, xpolm=result.xpolm, phase=result.phase,
                     total_normalized=result.total,
@@ -265,19 +229,20 @@ def _run_psd(args, cfg: RunConfig):
 
 
 def _run_montecarlo(args, cfg: RunConfig):
-    from .gn import nli_psd_x
+    from .gn import GnRequest, nli_psd_x
     from .moments import abs_z_score
     from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
+    params, resolved = read_flags("montecarlo", vars(args), cfg.resolved)
     psd = cfg.require_signal()
     model = _kernel_model(cfg)
-    params, resolved = _merge_flags(args, cfg, "montecarlo")
     trial_cfg = TrialConfig(**params)
     # continuum GN prediction on the same grid; the phase term belongs to the
     # RP1 PSD only and cancels in DP-ERP1.  Built first, so a step the GN
     # engine rejects fails before any trial runs.
-    request = _gn_request(psd, model, trial_cfg.frequencies_hz,
-                          trial_cfg.spacing_hz / 8.0,
-                          trial_cfg.mode == MODE_RP1)
+    request = construct("montecarlo", GnRequest, psd=psd, kernel=model,
+                        output_grid_hz=trial_cfg.frequencies_hz,
+                        inner_grid_step_hz=trial_cfg.spacing_hz / 8.0,
+                        include_phase_term=trial_cfg.mode == MODE_RP1)
     estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
     analytic = nli_psd_x(request, threads=args.threads).total
     _require_finite(mc_mean=estimate.mean, mc_stderr=estimate.stderr,
@@ -293,7 +258,7 @@ def _run_montecarlo(args, cfg: RunConfig):
 def _run_moments(args, cfg: RunConfig):
     from .moments import (StationaryProcessSet, theorem1_discrete_check,
                           theorem2_check, theorem3_discrete_check)
-    params, resolved = _merge_flags(args, cfg, "moments")
+    params, resolved = read_flags("moments", vars(args), cfg.resolved)
     theorem = params["theorem"]
     if theorem == 2:
         report = theorem2_check(params["k"], params["num_ensembles"],
@@ -355,3 +320,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -19,14 +19,16 @@ rows of ``(key, type, default, range)``; a row without a default is a
 required key, and a range is a ``(predicate, phrase)`` pair.  One reader
 checks a value against its row, the type (bool, int, finite float or str)
 and then the range, failing with ``<where>.<key> must be <phrase>, got
-<value>``; a command-line flag that overrides a key goes through the same
-row (``check_flag``).  A mapping's reader rejects unknown keys, applies the
+<value>``; command-line flags go through the same rows (``read_flags``),
+the ``kernel`` subcommand's F grid through the ``cli`` rows, which are no
+section of the file.  A mapping's reader rejects unknown keys, applies the
 defaults and records every value under ``"<where>.<key>"`` in the resolved
 map, from which the output header is written.  Rules that tie keys
-together, or that are an engine's own limit, stay with their code.  A
-shape's ``kind`` selects its constructor and rows from ``_SHAPES``; the
-shape keys are the constructor's argument names.  Span keys are converted
-to ``Span`` fields through ``_SPAN_SI``.
+together, or that are an engine's own limit, stay with their code;
+``construct`` turns a value a constructor rejects into a configuration
+error of its mapping.  A shape's ``kind`` selects its constructor and rows
+from ``_SHAPES``; the shape keys are the constructor's argument names.
+Span keys are converted to ``Span`` fields through ``_SPAN_SI``.
 
 All failures raise ConfigError (CLI exit code 1).
 """
@@ -44,7 +46,7 @@ from .link import LinkProfile, Span
 from .spectra import (DualPolPsd, RaisedCosinePsd, RectangularPsd,
                       TabulatedPsd)
 
-__all__ = ["RunConfig", "load_config", "check_flag"]
+__all__ = ["RunConfig", "load_config", "check_flag", "read_flags", "construct"]
 
 # unit conversions to SI
 _KM = 1.0e3                                 # km -> m
@@ -98,7 +100,8 @@ _KIND = (("kind", str, _REQUIRED, _one_of(*_SHAPES)),)
 # the quadrature starts at 8 cells per span and doubles at least once
 _KERNEL = (("quadrature_tolerance", float, 1.0e-10, _POSITIVE),
            ("max_cells_per_span", int, 1 << 21, _at_least(16)))
-_PSD = (("include_phase_term", bool, True), ("inner_grid_step_hz", float),
+_PSD = (("include_phase_term", bool, True),
+        ("inner_grid_step_hz", float, _REQUIRED, _POSITIVE),
         ("output_min_hz", float), ("output_max_hz", float),
         ("output_points", int, _REQUIRED, _at_least(2)))
 # num_lines is M: the grid holds the M + 1 lines k f0, |k| <= M/2
@@ -110,7 +113,9 @@ _MONTECARLO = (
     ("num_trials", int, 2000, _at_least(1)), ("seed", int, 12345, _SEED),
     ("edge_margin", float, 0.1,
      ((lambda value: 0.0 <= value < 0.5), "in [0, 0.5)")))
-_MOMENTS = (("theorem", int, 3, _one_of(1, 2, 3)), ("k", int, 2),
+_MOMENTS = (("theorem", int, 3, _one_of(1, 2, 3)),
+            # 8 is moments.MAX_MOMENT_ORDER
+            ("k", int, 2, ((lambda value: 1 <= value <= 8), "in [1, 8]")),
             ("num_ensembles", int, 20, _at_least(1)),
             ("trials", int, 200_000, _at_least(2)),
             ("seed", int, 54321, _SEED), ("grid_size", int, 32, _at_least(1)),
@@ -119,6 +124,12 @@ _MOMENTS = (("theorem", int, 3, _one_of(1, 2, 3)), ("k", int, 2),
 # the sections of numerical parameters, which flags may override
 _SECTIONS = {"kernel": _KERNEL, "psd": _PSD, "montecarlo": _MONTECARLO,
              "moments": _MOMENTS}
+# the kernel subcommand's F grid: flags only, recorded as cli.<key>
+_CLI = (("f_min_hz2", float), ("f_max_hz2", float),
+        ("points", int, _REQUIRED, _at_least(1)),
+        ("spacing", str, "log", _one_of("log", "linear")),
+        ("method", str, "closed-form", _one_of("closed-form", "quadrature")))
+_FLAG_ROWS = {**_SECTIONS, "cli": _CLI}     # the rows a flag may set
 
 _EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
 
@@ -164,8 +175,30 @@ def _value(node: dict, where: str, key: str, kind, default=_REQUIRED,
 def check_flag(section: str, key: str, value):
     """A flag's value for ``<section>.<key>``, checked by the key's row as
     the same value in the file would be."""
-    row, = (row for row in _SECTIONS[section] if row[0] == key)
+    row, = (row for row in _FLAG_ROWS[section] if row[0] == key)
     return _value({key: value}, section, *row)
+
+
+def read_flags(section: str, flags: dict, resolved: dict):
+    """``section``'s values, each key's flag in place of the file's value
+    where ``flags`` (key -> value or None) sets it, read by the section's
+    rows as the file's keys are; and a copy of ``resolved`` recording them."""
+    rows = _FLAG_ROWS[section]
+    node = {key: resolved[f"{section}.{key}"] for key, *_ in rows
+            if f"{section}.{key}" in resolved}
+    node.update((key, flags[key]) for key, *_ in rows
+                if flags.get(key) is not None)
+    resolved = dict(resolved)
+    return _read(node, section, rows, resolved), resolved
+
+
+def construct(where: str, constructor, /, **params):
+    """``constructor(**params)``; a value it rejects is a ConfigError of
+    ``where``."""
+    try:
+        return constructor(**params)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _read(node, where: str, rows, resolved: dict, nested=()) -> dict:
@@ -192,11 +225,9 @@ def _parse_link(node, resolved) -> LinkProfile:
     for i, span_node in enumerate(spans_node):
         where = f"link.spans[{i}]"
         span = _read(span_node, where, _SPAN, resolved)
-        try:
-            spans.append(Span(**{name: span[key] * factor
-                                 for key, (name, factor) in _SPAN_SI.items()}))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        spans.append(construct(where, Span, **{
+            name: span[key] * factor
+            for key, (name, factor) in _SPAN_SI.items()}))
     return LinkProfile(spans=tuple(spans),
                        xi_pre_s2=values["xi_pre_ps2"] * _PS2,
                        manakov_factor=values["manakov_factor"])
@@ -209,10 +240,7 @@ def _parse_shape(node, where: str, base_dir: str, resolved):
     del params["kind"]
     if "csv_path" in params:
         params["csv_path"] = os.path.join(base_dir, params["csv_path"])
-    try:
-        return constructor(**params)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return construct(where, constructor, **params)
 
 
 def _parse_signal(node, base_dir: str, resolved) -> DualPolPsd:
@@ -222,10 +250,7 @@ def _parse_signal(node, base_dir: str, resolved) -> DualPolPsd:
                           "(use kind 'none' for an unused polarization)")
     gx = _parse_shape(node["x"], "signal.x", base_dir, resolved)
     gy = _parse_shape(node["y"], "signal.y", base_dir, resolved)
-    try:
-        return DualPolPsd(gx=gx, gy=gy, p0_w=p0)
-    except ValueError as exc:
-        raise ConfigError(f"signal: {exc}") from None
+    return construct("signal", DualPolPsd, gx=gx, gy=gy, p0_w=p0)
 
 
 @dataclass

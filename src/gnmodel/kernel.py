@@ -164,17 +164,17 @@ def kernel_quadrature(model: KernelModel, F: float) -> complex:
     """
     theta = PHASE_RATE * float(F)
     max_phase = np.pi / 8.0
-    cells = np.maximum(
-        8,
-        np.ceil(np.abs(model._beta2 * theta) * model._length / max_phase).astype(int),
-    )
-    if np.any(cells > model.max_cells_per_span):
+    # compared as floats before the int conversion, which would wrap a count
+    # beyond int64; a NaN count (non-finite theta) fails the comparison too
+    needed = np.ceil(np.abs(model._beta2 * theta) * model._length / max_phase)
+    if not np.all(needed <= model.max_cells_per_span):
         raise KernelConvergenceError(
-            f"phase criterion needs {int(cells.max())} cells/span, "
+            f"phase criterion needs {np.max(needed):.17g} cells/span, "
             f"budget is {model.max_cells_per_span}",
             estimate=None,
             achieved_rel=math.inf,
         )
+    cells = np.maximum(8, needed.astype(int))
     spans = range(len(cells))
     ends = np.array([
         np.sum(_span_integrand(model, i, theta, np.array([0.0, model._length[i]])))

@@ -167,12 +167,21 @@ def mc_moment(ensemble: GaussianEnsemble, spec: MomentSpec,
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     u = ensemble.sample(trials, seed)
-    prod = np.ones(trials, dtype=complex)
-    for c_idx in spec.conjugated:
-        prod *= np.conj(u[c_idx])
-    for u_idx in spec.unconjugated:
-        prod *= u[u_idx]
-    return _mean_stderr(prod)
+    return _mean_stderr(_slot_product(itertools.chain(
+        (np.conj(u[c_idx]) for c_idx in spec.conjugated),
+        (u[u_idx] for u_idx in spec.unconjugated))))
+
+
+def _slot_product(factors) -> np.ndarray:
+    """The product of the slot ``factors`` (conjugated where the slot is):
+    the first times the second, then each further one in place, as the
+    literal chain a*conj(b)*c... runs once NumPy elides its temporaries (256
+    KiB and up); a rebinding loop (prod = prod * x) would not give its bits."""
+    factors = iter(factors)
+    prod = next(factors) * next(factors)
+    for factor in factors:
+        prod *= factor
+    return prod
 
 
 def _mean_stderr(prod: np.ndarray) -> tuple[complex, complex]:
@@ -349,30 +358,26 @@ def _slot_bins(f: int, u: int, offsets, n_grid: int):
 
 
 def _pairing_reference(spectrum, pattern, bins) -> complex:
-    """Independent exact value: CGMT pairing sum on the six slot variables."""
-    cov = np.zeros((6, 6), dtype=complex)
-    for i in range(6):
-        for j in range(6):
+    """Independent exact value of ``_line_moment``'s E[S0 S1* S2 S3* ...]:
+    the CGMT pairing sum on the slot variables."""
+    n = len(pattern)
+    cov = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
             if bins[i] == bins[j]:
                 cov[i, j] = spectrum(pattern[i], pattern[j])[bins[i]]
-    spec = MomentSpec(conjugated=(1, 3, 5), unconjugated=(0, 2, 4))
+    spec = MomentSpec(conjugated=tuple(range(1, n, 2)),
+                      unconjugated=tuple(range(0, n, 2)))
     return _pairing_sum(cov, spec)
 
 
 def _line_moment(procs, pattern, bins, trials, seed):
     """MC estimate of E[S0 S1* S2 S3* ...]: slot i holds process pattern[i]
-    at bins[i], odd slots conjugated (two slots for Theorem 1, six for 3).
-
-    The product is built in place: the literal chain a*conj(b)*c... runs
-    in place too once NumPy elides its temporaries (256 KiB and up), and a
-    rebinding loop (prod = prod * x) would not give the chain's bits."""
+    at bins[i], odd slots conjugated (two slots for Theorem 1, six for 3)."""
     s = procs.sample_at(bins, [(p, i) for i, p in enumerate(pattern)],
                         trials, seed)
-    prod = s[0] * np.conj(s[1])
-    for i in range(2, len(pattern), 2):
-        prod *= s[i]
-        prod *= np.conj(s[i + 1])
-    return _mean_stderr(prod)
+    return _mean_stderr(_slot_product(
+        np.conj(row) if i % 2 else row for i, row in enumerate(s)))
 
 
 def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
@@ -391,8 +396,7 @@ def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
         name, p, q, nu, mu = configs[idx]
         bins = np.mod(np.array([nu, mu]), processes.grid_size)
         est, stderr = _line_moment(processes, (p, q), bins, trials, seed + idx)
-        expected = complex(processes.spectrum(p, q)[bins[0]]) \
-            if bins[0] == bins[1] else 0.0 + 0.0j
+        expected = _pairing_reference(processes.spectrum, (p, q), bins)
         return _score(name, est, stderr, expected)
 
     return CheckReport(checks=ordered_map(run, range(len(configs)), threads))

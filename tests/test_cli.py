@@ -1,11 +1,15 @@
 """Command-line interface: output format, flag handling, exit codes."""
 import math
+import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 import yaml
 
+import gnmodel
 from gnmodel import (GnRequest, KernelConvergenceError, KernelModel,
                      TrialConfig, estimate_nli_psd, kernel_closed_form,
                      kernel_quadrature, load_config, nli_psd_x)
@@ -149,7 +153,8 @@ class TestKernelCommand:
             assert run(argv) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.count("kernel --points must be at least 1") == 2
+        assert "error: cli.points must be at least 1, got 0\n" in err
+        assert "error: cli.points must be at least 1, got -3\n" in err
 
     @pytest.mark.parametrize("f_min", ["-2e22", "-2.5E+21", "-1e-3"])
     def test_negative_exponent_is_a_value(self, config_path, tmp_path, f_min):
@@ -232,6 +237,18 @@ class TestKernelCommand:
         assert err.startswith("gnmodel: non-finite result: K is not finite")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    def test_phase_criterion_beyond_int64_exits_2(self, tmp_path, capsys):
+        # cell counts past int64 fail at once, not after refining to budget
+        path = tmp_path / "three_span.yaml"
+        path.write_text(textwrap.dedent(THREE_SPAN))
+        out = tmp_path / "never.csv"
+        assert run(["--config", str(path), "--output", str(out), "kernel",
+                    "--method", "quadrature", "--f-min-hz2", "1e39",
+                    "--f-max-hz2", "1e40", "--points", "2"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "gnmodel: convergence failure: phase criterion needs ")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_on_quadrature_workers_warns_of_nothing(self, tmp_path,
                                                              capsys):
@@ -308,6 +325,20 @@ class TestNonFiniteInput:
         out = tmp_path / "never.csv"
         assert run(["--config", config_path, "--output", str(out)] + argv) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,argv", [
+        ("montecarlo.spacing_hz", ["montecarlo", "--spacing-hz", "nan"]),
+        ("cli.f_min_hz2", ["kernel", "--f-min-hz2", "inf", "--f-max-hz2",
+                           "1e20", "--points", "3"]),
+    ], ids=["spacing-hz", "f-min-hz2"])
+    def test_float_flag_is_read_by_its_row(self, config_path, tmp_path,
+                                           capsys, key, argv):
+        # the flag's text reaches the key's row, which names the key
+        assert run(["--config", config_path, "--output",
+                    str(tmp_path / "never.csv")] + argv) == 1
+        assert capsys.readouterr().err == (
+            f"gnmodel: configuration error: {key} must be finite, "
+            f"got {argv[2]!r}\n")
 
 
 class TestMontecarloCommand:
@@ -435,11 +466,23 @@ class TestMomentsCommand:
         assert not out.exists()
 
 
-# every declared range: (key, its flag as (subcommand, flag) or None,
-# out-of-range values, values at the edge of the range)
+# the kernel subcommand's grid flags, less the one a RANGES row sets
+KERNEL_GRID = {"--f-min-hz2": "1e16", "--f-max-hz2": "1e22", "--points": "3"}
+
+
+def kernel_flag(name):
+    rest = [item for flag, value in KERNEL_GRID.items() if flag != name
+            for item in (flag, value)]
+    return ("kernel", name, *rest)
+
+
+# every declared range: (key, its flag as (subcommand, flag, other flags the
+# subcommand needs) or None, out-of-range values, values at the edge of the
+# range).  The cli keys (the kernel grid) have flags only, no YAML path
 RANGES = [
     ("kernel.quadrature_tolerance", None, [0.0, -1.0e-9], [5e-324]),
     ("kernel.max_cells_per_span", None, [15, 0, -8], [16]),
+    ("psd.inner_grid_step_hz", None, [0.0, -1.0], [5e-324]),
     ("psd.output_points", None, [1], [2]),
     ("montecarlo.mode", ("montecarlo", "--mode"), ["rp2", "foo"],
      ["rp1", "erp1"]),
@@ -451,12 +494,18 @@ RANGES = [
      [0, 2**64 - 1]),
     ("montecarlo.edge_margin", None, [0.5, -0.1], [0.0, 0.4999]),
     ("moments.theorem", ("moments", "--theorem"), [4, 0, 9], [1, 2, 3]),
+    ("moments.k", ("moments", "--k"), [0, 9, -1], [1, 8]),
     ("moments.trials", ("moments", "--trials"), [1], [2]),
     ("moments.seed", ("moments", "--seed"), [-7, 2**64], [0, 2**64 - 1]),
     ("moments.num_ensembles", None, [0, -3], [1]),
     ("moments.grid_size", None, [0, -1], [1]),
     ("moments.num_processes", None, [0, -1], [1]),
     ("moments.num_sources", None, [0, -1], [1]),
+    ("cli.points", kernel_flag("--points"), [0, -3], [1]),
+    ("cli.spacing", kernel_flag("--spacing"), ["lin", "Log"],
+     ["log", "linear"]),
+    ("cli.method", kernel_flag("--method"), ["closed_form", "simpson"],
+     ["closed-form", "quadrature"]),
 ]
 
 
@@ -480,19 +529,23 @@ class TestRanges:
                                   flag, bad, edge):
         out = tmp_path / "never.csv"
         for value in bad:
-            # a psd run reads no montecarlo or moments parameter, yet its
-            # header records them: it must reject a bad one too
-            assert run(["--config", config_with(tmp_path, key, value),
-                        "--output", str(out), "psd"]) == 1
-            err = capsys.readouterr().err
+            errors = []
+            if not key.startswith("cli."):
+                # a psd run reads no montecarlo or moments parameter, yet
+                # its header records them: it must reject a bad one too
+                assert run(["--config", config_with(tmp_path, key, value),
+                            "--output", str(out), "psd"]) == 1
+                errors.append(capsys.readouterr().err)
+            if flag:
+                command, name, *rest = flag
+                assert run(["--config", config_path, "--output", str(out),
+                            command, *rest, name, str(value)]) == 1
+                errors.append(capsys.readouterr().err)
+            err = errors[0]
             assert err.startswith(f"gnmodel: configuration error: {key} "
                                   f"must be ")
             assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
-            if flag:
-                command, name = flag
-                assert run(["--config", config_path, "--output", str(out),
-                            command, name, str(value)]) == 1
-                assert capsys.readouterr().err == err
+            assert errors == [err] * len(errors)
         assert not out.exists()
 
     @pytest.mark.parametrize("key,flag,bad,edge", RANGES,
@@ -500,8 +553,9 @@ class TestRanges:
     def test_edge_of_range_is_accepted(self, tmp_path, key, flag, bad, edge):
         section, name = key.split(".")
         for value in edge:
-            cfg = load_config(config_with(tmp_path, key, value))
-            assert cfg.resolved[key] == value
+            if section != "cli":
+                cfg = load_config(config_with(tmp_path, key, value))
+                assert cfg.resolved[key] == value
             if flag:
                 assert check_flag(section, name, value) == value
 
@@ -643,6 +697,27 @@ class TestDriver:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name.startswith(".gnmodel-")]
         assert leftovers == []
+
+    def test_module_runs_main(self, config_path, tmp_path):
+        # python -m gnmodel.cli: a psd run writes its CSV, and a run without
+        # --config exits 1 and writes nothing
+        src = os.path.dirname(os.path.dirname(gnmodel.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / "psd.csv"
+        argv = [sys.executable, "-m", "gnmodel.cli", "--output", str(out)]
+        done = subprocess.run(argv + ["--config", config_path, "psd"],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert out.read_text().startswith("# gnmodel 0.1.0\n"
+                                          "# command = psd\n")
+        out.unlink()
+        done = subprocess.run(argv + ["psd"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 1
+        assert "configuration error" in done.stderr
+        assert not out.exists()
 
     def test_main_raises_system_exit(self, monkeypatch):
         monkeypatch.setattr("sys.argv", ["gnmodel"])

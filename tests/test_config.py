@@ -363,12 +363,30 @@ class TestSchema:
                                          kind, *rest) == rest[0], key
 
     def test_every_override_flag_names_a_key_of_its_section(self):
-        # a flag whose dest is no key of its section would be ignored
+        # a flag whose dest is no key of its section would be ignored; the
+        # kernel subcommand's flags are the cli rows
         subparsers, = (action for action in cli._build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
-        for section in ("montecarlo", "moments"):
-            keys = {row[0] for row in config._SECTIONS[section]}
+        for command, section in (("montecarlo", "montecarlo"),
+                                 ("moments", "moments"), ("kernel", "cli")):
+            keys = {row[0] for row in config._FLAG_ROWS[section]}
             dests = {action.dest for action
-                     in subparsers.choices[section]._actions
+                     in subparsers.choices[command]._actions
                      if action.dest != "help"}
             assert dests and dests <= keys, dests - keys
+
+    def test_cli_rows_are_no_section_of_the_file(self, tmp_path):
+        path = tmp_path / "cli.yaml"
+        path.write_text("cli:\n  points: 3\n")
+        with pytest.raises(ConfigError,
+                           match="unknown key.*configuration root: cli"):
+            load_config(str(path))
+
+    def test_moment_order_row_matches_the_engine(self):
+        # config does not import moments (it would load numpy.random at
+        # start-up), so its copy of the bound is checked here
+        from gnmodel.moments import MAX_MOMENT_ORDER
+        assert config.check_flag("moments", "k",
+                                 MAX_MOMENT_ORDER) == MAX_MOMENT_ORDER
+        with pytest.raises(ConfigError, match="moments.k must be in"):
+            config.check_flag("moments", "k", MAX_MOMENT_ORDER + 1)

@@ -187,6 +187,15 @@ class TestQuadrature:
         with pytest.raises(KernelConvergenceError, match="phase criterion"):
             kernel_quadrature(model, 3e22)
 
+    @pytest.mark.parametrize("F", [1e38, 1e40, -1e300, 5e307, math.nan])
+    def test_phase_criterion_beyond_int64_fails_at_once(self, F):
+        # the count is compared with the budget before its int conversion,
+        # which wraps past int64 (and maps NaN anywhere): the quadrature
+        # would start at 8 cells and refine a meaningless integral instead
+        with pytest.raises(KernelConvergenceError,
+                           match="phase criterion needs"):
+            kernel_quadrature(multi_span_model(), F)
+
     def test_budget_exceeded_during_refinement_carries_estimate(self):
         model = single_span_model(quadrature_tolerance=0.0,
                                   max_cells_per_span=32)

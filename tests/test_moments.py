@@ -139,6 +139,22 @@ class TestMcMoment:
         spec = MomentSpec((0, 1), (2, 2))
         assert mc_moment(ens, spec, 500, seed=4) == mc_moment(ens, spec, 500, seed=4)
 
+    @pytest.mark.parametrize("trials", [2000, 40_000])
+    def test_slot_product_gives_the_running_product(self, trials):
+        # the shared slot product keeps the bits of a running product from
+        # ones, conjugated slots first, below and above NumPy's elision size
+        ens = GaussianEnsemble.random(6, 6, seed=5)
+        u = ens.sample(trials, seed=8)
+        for k in (1, 2, 3):
+            spec = MomentSpec(tuple(range(k)), tuple(range(k, 2 * k)))
+            running = np.ones(trials, dtype=complex)
+            for i in spec.conjugated:
+                running *= np.conj(u[i])
+            for i in spec.unconjugated:
+                running *= u[i]
+            assert mc_moment(ens, spec, trials, seed=8) \
+                == _mean_stderr(running)
+
     def test_agrees_with_pairing_sum_within_4_sigma(self):
         for k, seed in ((2, 21), (3, 22)):
             ens = GaussianEnsemble.random(2 * k, 2 * k, seed=seed)
