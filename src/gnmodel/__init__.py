@@ -26,7 +26,7 @@ _EXPORTS = {
     "kernel": ("KernelModel", "KernelConvergenceError", "kernel_closed_form",
                "kernel_quadrature", "normalized_kernel",
                "normalized_kernel_grid"),
-    "gn": ("GnRequest", "NliPsdResult", "nli_psd_x", "nli_psd_y",
+    "gn": ("GnRequest", "NliPsdResult", "nli_psd_x",
            "phase_term_coefficient"),
     "montecarlo": ("MODE_RP1", "MODE_DP_ERP1", "TrialConfig", "PsdEstimate",
                    "PairedEstimates", "estimate_nli_psd", "run_paired_trials",

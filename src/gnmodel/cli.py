@@ -12,8 +12,9 @@ Subcommands
     moments     statistical checks of the moment machinery
                 (--theorem {1,2,3}, --k, --trials, --seed)
 
-A flag's value is read by its key's schema row (``config.read_flags``; the
-kernel grid's keys are the ``cli`` rows).  Exit codes: 0 success; 1
+Each subcommand flag sets one key (``config.FLAGS``; the kernel grid's are
+the ``cli`` keys), and its text is read as the same text in the file, YAML 1.1
+included (``1e5`` is a string, ``010`` is 8).  Exit codes: 0 success; 1
 configuration error (``<key> must be <range>, got <value>`` for a value in
 any section of the file or in a flag, or a bad --output path; all checked
 before any work); 2 numerical failure (a kernel quadrature that does not
@@ -39,7 +40,8 @@ import numpy as np
 # the engines a subcommand runs (gn, montecarlo, moments) are imported inside
 # its runner: a process loads only those, and each engine function is looked
 # up in its defining module at call time, never held in this module
-from .config import RunConfig, construct, load_config, read_flags
+from .config import (FLAGS, RunConfig, construct, flag_name, load_config,
+                     read_flags)
 from .errors import ConfigError
 from .kernel import (KernelConvergenceError, KernelModel, kernel_closed_form,
                      kernel_quadrature)
@@ -76,28 +78,12 @@ def _build_parser() -> _Parser:
                              "affects results")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    kernel = sub.add_parser("kernel", help="evaluate the link kernel on an F grid")
-    kernel.add_argument("--f-min-hz2", required=True)
-    kernel.add_argument("--f-max-hz2", required=True)
-    kernel.add_argument("--points", type=int, required=True)
-    kernel.add_argument("--spacing")
-    kernel.add_argument("--method")
-
-    sub.add_parser("psd", help="GN-model NLI PSD on the configured grid")
-
-    mc = sub.add_parser("montecarlo", help="Monte Carlo NLI PSD estimate")
-    mc.add_argument("--mode")
-    mc.add_argument("--lines", type=int, dest="num_lines",
-                    help="number of line spacings M")
-    mc.add_argument("--spacing-hz", help="line spacing f0")
-    mc.add_argument("--trials", type=int, dest="num_trials")
-    mc.add_argument("--seed", type=int)
-
-    mom = sub.add_parser("moments", help="moment-theorem statistical checks")
-    mom.add_argument("--theorem", type=int)
-    mom.add_argument("--k", type=int)
-    mom.add_argument("--trials", type=int)
-    mom.add_argument("--seed", type=int)
+    for command, (_, summary) in _COMMANDS.items():
+        section, keys = FLAGS[command]
+        subparser = sub.add_parser(command, help=summary)
+        for key in keys:
+            subparser.add_argument(flag_name(section, key), dest=key,
+                                   help=f"sets {section}.{key}")
     return parser
 
 
@@ -163,8 +149,7 @@ def _kernel_model(cfg: RunConfig) -> KernelModel:
                        max_cells_per_span=cfg.kernel_max_cells)
 
 
-def _run_kernel(args, cfg: RunConfig):
-    params, resolved = read_flags("cli", vars(args), cfg.resolved)
+def _run_kernel(cfg: RunConfig, params, resolved, threads):
     f_min, f_max = params["f_min_hz2"], params["f_max_hz2"]
     if params["spacing"] == "log":
         if not 0 < f_min < f_max:
@@ -193,9 +178,9 @@ def _run_kernel(args, cfg: RunConfig):
                 return exc
 
         order = range(len(points))
-        if args.threads > 1:
+        if threads > 1:
             order = sorted(order, key=lambda i: -abs(points[i]))
-        done = dict(zip(order, ordered_map(point, order, args.threads)))
+        done = dict(zip(order, ordered_map(point, order, threads)))
         values = [done[i] for i in range(len(points))]
         for value in values:    # the serial loop's error: first in grid order
             if isinstance(value, KernelConvergenceError):
@@ -210,29 +195,28 @@ def _run_kernel(args, cfg: RunConfig):
                 rows), True
 
 
-def _run_psd(args, cfg: RunConfig):
+def _run_psd(cfg: RunConfig, params, resolved, threads):
     from .gn import GnRequest, nli_psd_x
     psd, grid = cfg.require_signal(), cfg.require_output_grid()
     request = construct("psd", GnRequest, psd=psd, kernel=_kernel_model(cfg),
                         output_grid_hz=grid,
                         inner_grid_step_hz=cfg.inner_grid_step_hz,
                         include_phase_term=cfg.include_phase_term)
-    result = nli_psd_x(request, threads=args.threads)
+    result = nli_psd_x(request, threads=threads)
     _require_finite(spm=result.spm, xpolm=result.xpolm, phase=result.phase,
                     total_normalized=result.total,
                     total_absolute_W_per_Hz=result.total_absolute_w_per_hz)
 
     rows = zip(result.frequencies_hz, result.spm, result.xpolm, result.phase,
                result.total, result.total_absolute_w_per_hz)
-    return _csv("psd", cfg.resolved, "f_Hz,spm,xpolm,phase,total_normalized,"
+    return _csv("psd", resolved, "f_Hz,spm,xpolm,phase,total_normalized,"
                 "total_absolute_W_per_Hz", rows), True
 
 
-def _run_montecarlo(args, cfg: RunConfig):
+def _run_montecarlo(cfg: RunConfig, params, resolved, threads):
     from .gn import GnRequest, nli_psd_x
     from .moments import abs_z_score
     from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
-    params, resolved = read_flags("montecarlo", vars(args), cfg.resolved)
     psd = cfg.require_signal()
     model = _kernel_model(cfg)
     trial_cfg = TrialConfig(**params)
@@ -244,7 +228,7 @@ def _run_montecarlo(args, cfg: RunConfig):
                         inner_grid_step_hz=trial_cfg.spacing_hz / 8.0,
                         include_phase_term=trial_cfg.mode == MODE_RP1)
     estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
-    analytic = nli_psd_x(request, threads=args.threads).total
+    analytic = nli_psd_x(request, threads=threads).total
     _require_finite(mc_mean=estimate.mean, mc_stderr=estimate.stderr,
                     analytic=analytic)
 
@@ -255,15 +239,14 @@ def _run_montecarlo(args, cfg: RunConfig):
                 "abs_z_score", rows), True
 
 
-def _run_moments(args, cfg: RunConfig):
+def _run_moments(cfg: RunConfig, params, resolved, threads):
     from .moments import (StationaryProcessSet, theorem1_discrete_check,
                           theorem2_check, theorem3_discrete_check)
-    params, resolved = read_flags("moments", vars(args), cfg.resolved)
     theorem = params["theorem"]
     if theorem == 2:
         report = theorem2_check(params["k"], params["num_ensembles"],
                                 params["trials"], params["seed"],
-                                threads=args.threads)
+                                threads=threads)
     else:
         processes = StationaryProcessSet.random(
             params["num_processes"], params["num_sources"],
@@ -271,7 +254,7 @@ def _run_moments(args, cfg: RunConfig):
         check = theorem1_discrete_check if theorem == 1 \
             else theorem3_discrete_check
         report = check(processes, params["trials"], params["seed"],
-                       threads=args.threads)
+                       threads=threads)
 
     rows = [(c.name, "pass" if c.passed else "FAIL", c.z_score,
              c.estimate.real, c.estimate.imag, c.expected.real,
@@ -285,11 +268,12 @@ def _run_moments(args, cfg: RunConfig):
                 "formula_gap", rows, footer), report.all_passed
 
 
+# subcommand -> (runner, --help line); its flags are declared in config.FLAGS
 _COMMANDS = {
-    "kernel": _run_kernel,
-    "psd": _run_psd,
-    "montecarlo": _run_montecarlo,
-    "moments": _run_moments,
+    "kernel": (_run_kernel, "evaluate the link kernel on an F grid"),
+    "psd": (_run_psd, "GN-model NLI PSD on the configured grid"),
+    "montecarlo": (_run_montecarlo, "Monte Carlo NLI PSD estimate"),
+    "moments": (_run_moments, "moment-theorem statistical checks"),
 }
 
 
@@ -302,9 +286,11 @@ def run(argv=None) -> int:
             raise ConfigError("--threads must be at least 1")
         _check_output(args.output)
         cfg = load_config(args.config)
+        params, resolved = read_flags(args.command, vars(args), cfg.resolved)
         # an engine overflow reaches _require_finite (exit 2) unannounced
         with np.errstate(all="ignore"):
-            text, ok = _COMMANDS[args.command](args, cfg)
+            text, ok = _COMMANDS[args.command][0](cfg, params, resolved,
+                                                  args.threads)
     except ConfigError as exc:
         print(f"gnmodel: configuration error: {exc}", file=sys.stderr)
         return 1

@@ -19,14 +19,16 @@ rows of ``(key, type, default, range)``; a row without a default is a
 required key, and a range is a ``(predicate, phrase)`` pair.  One reader
 checks a value against its row, the type (bool, int, finite float or str)
 and then the range, failing with ``<where>.<key> must be <phrase>, got
-<value>``; command-line flags go through the same rows (``read_flags``),
-the ``kernel`` subcommand's F grid through the ``cli`` rows, which are no
-section of the file.  A mapping's reader rejects unknown keys, applies the
-defaults and records every value under ``"<where>.<key>"`` in the resolved
-map, from which the output header is written.  Rules that tie keys
-together, or that are an engine's own limit, stay with their code;
-``construct`` turns a value a constructor rejects into a configuration
-error of its mapping.  A shape's ``kind`` selects its constructor and rows
+<value>``.  ``FLAGS`` declares each subcommand's flags: the section whose
+rows they set (the ``kernel`` subcommand's F grid is the ``cli`` rows, no
+section of the file) and their keys.  ``read_flags`` reads a flag's text as
+YAML, as the file's text is read, then by the key's row: a flag and the file
+give the same value and message.  A mapping's reader rejects unknown keys,
+applies the defaults and records every value under ``"<where>.<key>"`` in
+the resolved map, from which the output header is written.  Rules that tie
+keys together, or that are an engine's own limit, stay with their code;
+``construct`` turns a value a constructor rejects into a configuration error
+of its mapping.  A shape's ``kind`` selects its constructor and rows
 from ``_SHAPES``; the shape keys are the constructor's argument names.
 Span keys are converted to ``Span`` fields through ``_SPAN_SI``.
 
@@ -46,7 +48,8 @@ from .link import LinkProfile, Span
 from .spectra import (DualPolPsd, RaisedCosinePsd, RectangularPsd,
                       TabulatedPsd)
 
-__all__ = ["RunConfig", "load_config", "check_flag", "read_flags", "construct"]
+__all__ = ["RunConfig", "load_config", "FLAGS", "flag_name", "read_flags",
+           "construct"]
 
 # unit conversions to SI
 _KM = 1.0e3                                 # km -> m
@@ -110,7 +113,7 @@ _MONTECARLO = (
     ("num_lines", int, 64,
      ((lambda value: value >= 8 and value % 2 == 0), "even and at least 8")),
     ("spacing_hz", float, 1.0e9, _POSITIVE),
-    ("num_trials", int, 2000, _at_least(1)), ("seed", int, 12345, _SEED),
+    ("num_trials", int, 2000, _at_least(2)), ("seed", int, 12345, _SEED),
     ("edge_margin", float, 0.1,
      ((lambda value: 0.0 <= value < 0.5), "in [0, 0.5)")))
 _MOMENTS = (("theorem", int, 3, _one_of(1, 2, 3)),
@@ -121,7 +124,7 @@ _MOMENTS = (("theorem", int, 3, _one_of(1, 2, 3)),
             ("seed", int, 54321, _SEED), ("grid_size", int, 32, _at_least(1)),
             ("num_processes", int, 6, _at_least(1)),
             ("num_sources", int, 4, _at_least(1)))
-# the sections of numerical parameters, which flags may override
+# the sections of numerical parameters
 _SECTIONS = {"kernel": _KERNEL, "psd": _PSD, "montecarlo": _MONTECARLO,
              "moments": _MOMENTS}
 # the kernel subcommand's F grid: flags only, recorded as cli.<key>
@@ -130,6 +133,16 @@ _CLI = (("f_min_hz2", float), ("f_max_hz2", float),
         ("spacing", str, "log", _one_of("log", "linear")),
         ("method", str, "closed-form", _one_of("closed-form", "quadrature")))
 _FLAG_ROWS = {**_SECTIONS, "cli": _CLI}     # the rows a flag may set
+
+# each subcommand's flags: the section whose rows they set and their keys,
+# in --help order.  A flag is --<key with dashes> unless _SPELLED names it
+FLAGS = {"kernel": ("cli", tuple(key for key, *_ in _CLI)),
+         "psd": (None, ()),
+         "montecarlo": ("montecarlo", ("mode", "num_lines", "spacing_hz",
+                                       "num_trials", "seed")),
+         "moments": ("moments", ("theorem", "k", "trials", "seed"))}
+_SPELLED = {"montecarlo.num_lines": "--lines",
+            "montecarlo.num_trials": "--trials"}
 
 _EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
 
@@ -144,12 +157,14 @@ def _typed(value, kind, name: str):
     """``value`` checked as ``kind``; floats parse from numbers and numeric
     strings and must be finite, the other types must match exactly."""
     if kind is float:
-        if isinstance(value, bool):
-            raise ConfigError(f"{name} must be a number, got a boolean")
         try:
+            if isinstance(value, bool):
+                raise TypeError
             number = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        except OverflowError:       # an integer beyond the float range
+            number = math.inf
         if not math.isfinite(number):
             raise ConfigError(f"{name} must be finite, got {value!r}")
         return number
@@ -172,22 +187,28 @@ def _value(node: dict, where: str, key: str, kind, default=_REQUIRED,
     return value
 
 
-def check_flag(section: str, key: str, value):
-    """A flag's value for ``<section>.<key>``, checked by the key's row as
-    the same value in the file would be."""
-    row, = (row for row in _FLAG_ROWS[section] if row[0] == key)
-    return _value({key: value}, section, *row)
+def flag_name(section: str, key: str) -> str:
+    """The command-line flag that sets ``<section>.<key>``."""
+    return _SPELLED.get(f"{section}.{key}", "--" + key.replace("_", "-"))
 
 
-def read_flags(section: str, flags: dict, resolved: dict):
-    """``section``'s values, each key's flag in place of the file's value
-    where ``flags`` (key -> value or None) sets it, read by the section's
-    rows as the file's keys are; and a copy of ``resolved`` recording them."""
-    rows = _FLAG_ROWS[section]
+def read_flags(command: str, flags: dict, resolved: dict):
+    """The values of the section whose rows ``command``'s flags set, read by
+    its rows as the file's keys are, and a copy of ``resolved`` recording
+    them.  ``flags`` maps each key to its flag's text, or None where the flag
+    is unset; the text is read as YAML, as the same text in the file would
+    be, and takes the file's value's place."""
+    section, keys = FLAGS[command]
+    rows = _FLAG_ROWS.get(section, ())
     node = {key: resolved[f"{section}.{key}"] for key, *_ in rows
             if f"{section}.{key}" in resolved}
-    node.update((key, flags[key]) for key, *_ in rows
-                if flags.get(key) is not None)
+    for key in keys:
+        if flags.get(key) is not None:
+            try:
+                node[key] = yaml.safe_load(flags[key])
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"cannot parse {flag_name(section, key)} "
+                                  f"{flags[key]!r}: {exc}") from None
     resolved = dict(resolved)
     return _read(node, section, rows, resolved), resolved
 
@@ -265,8 +286,6 @@ class RunConfig:
     include_phase_term: bool
     inner_grid_step_hz: float | None
     output_grid_hz: np.ndarray | None
-    montecarlo: dict
-    moments: dict
     resolved: dict = field(default_factory=dict)
 
     def require_link(self) -> LinkProfile:
@@ -318,14 +337,12 @@ def load_config(path: str) -> RunConfig:
         output_grid = np.linspace(psd["output_min_hz"], psd["output_max_hz"],
                                   psd["output_points"])
 
-    montecarlo = _read(root.get("montecarlo", {}), "montecarlo", _MONTECARLO,
-                       resolved)
-    moments = _read(root.get("moments", {}), "moments", _MOMENTS, resolved)
+    for section in ("montecarlo", "moments"):   # a runner's, via read_flags
+        _read(root.get(section, {}), section, _SECTIONS[section], resolved)
 
     return RunConfig(link=link, signal=signal,
                      kernel_tolerance=kernel["quadrature_tolerance"],
                      kernel_max_cells=kernel["max_cells_per_span"],
                      include_phase_term=psd["include_phase_term"],
                      inner_grid_step_hz=psd["inner_grid_step_hz"],
-                     output_grid_hz=output_grid,
-                     montecarlo=montecarlo, moments=moments, resolved=resolved)
+                     output_grid_hz=output_grid, resolved=resolved)

@@ -46,7 +46,7 @@ elementwise (``normalized_kernel_grid``):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "GnRequest",
     "NliPsdResult",
     "nli_psd_x",
-    "nli_psd_y",
     "phase_term_coefficient",
 ]
 
@@ -265,8 +264,3 @@ def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
         phi_nl=psd.p0_w * req.kernel.k0.real,
     )
 
-
-def nli_psd_y(req: GnRequest, threads: int = 1) -> NliPsdResult:
-    """NLI PSD received by the Y polarization: the X PSD of the swapped
-    input."""
-    return nli_psd_x(replace(req, psd=req.psd.swapped()), threads)

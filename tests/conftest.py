@@ -1,10 +1,19 @@
-"""Shared test helpers: acceptance-criterion reporting.
+"""Shared test helpers: acceptance-criterion reporting and the Hypothesis
+settings profile.
 
 ``record_criterion`` stores one PASS/FAIL line per acceptance criterion;
 the terminal-summary hook prints them after the run so the verdicts are
-visible even under captured output.
+visible even under captured output.  Every property test runs the same
+examples on every run, with no example database and no deadline; each test
+sets only its ``max_examples``.
 """
 from __future__ import annotations
+
+from hypothesis import settings
+
+settings.register_profile("gnmodel", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("gnmodel")
 
 _CRITERION_LINES: dict = {}
 

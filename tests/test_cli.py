@@ -13,8 +13,8 @@ import gnmodel
 from gnmodel import (GnRequest, KernelConvergenceError, KernelModel,
                      TrialConfig, estimate_nli_psd, kernel_closed_form,
                      kernel_quadrature, load_config, nli_psd_x)
-from gnmodel.cli import main, run
-from gnmodel.config import check_flag
+from gnmodel.cli import _build_parser, main, run
+from gnmodel.config import read_flags
 
 CONFIG = """
 link:
@@ -148,6 +148,9 @@ class TestKernelCommand:
                     "--points", "3"],
             base + ["--f-min-hz2", "5", "--f-max-hz2", "4", "--points", "3",
                     "--spacing", "linear"],
+            base + ["--f-max-hz2", "1e22", "--points", "3"],
+            base + ["--f-min-hz2", "1e16", "--f-max-hz2", "1e22",
+                    "--points", "3", "--spacing", "[log"],
         ]
         for argv in bad:
             assert run(argv) == 1
@@ -155,6 +158,8 @@ class TestKernelCommand:
         err = capsys.readouterr().err
         assert "error: cli.points must be at least 1, got 0\n" in err
         assert "error: cli.points must be at least 1, got -3\n" in err
+        assert "error: missing required key cli.f_min_hz2\n" in err
+        assert "error: cannot parse --spacing '[log': " in err
 
     @pytest.mark.parametrize("f_min", ["-2e22", "-2.5E+21", "-1e-3"])
     def test_negative_exponent_is_a_value(self, config_path, tmp_path, f_min):
@@ -476,32 +481,40 @@ def kernel_flag(name):
     return ("kernel", name, *rest)
 
 
+# texts a flag and the file read alike, by YAML 1.1: a float, a string
+# (no dot before the exponent) and a boolean
+TEXTS = ["2.5", "1e5", "true"]
+
 # every declared range: (key, its flag as (subcommand, flag, other flags the
 # subcommand needs) or None, out-of-range values, values at the edge of the
-# range).  The cli keys (the kernel grid) have flags only, no YAML path
+# range).  A value's text, str(value), is given to the flag and written into
+# the file.  The cli keys (the kernel grid) have flags only, no YAML path
 RANGES = [
-    ("kernel.quadrature_tolerance", None, [0.0, -1.0e-9], [5e-324]),
+    # YAML 1.1 reads -1e-09, str(-1.0e-9), as a string
+    ("kernel.quadrature_tolerance", None, [0.0, "-1.0e-9"], [5e-324]),
     ("kernel.max_cells_per_span", None, [15, 0, -8], [16]),
     ("psd.inner_grid_step_hz", None, [0.0, -1.0], [5e-324]),
     ("psd.output_points", None, [1], [2]),
-    ("montecarlo.mode", ("montecarlo", "--mode"), ["rp2", "foo"],
+    ("montecarlo.mode", ("montecarlo", "--mode"), ["rp2", "foo", *TEXTS],
      ["rp1", "erp1"]),
     ("montecarlo.num_lines", ("montecarlo", "--lines"), [15, 6, 7], [8]),
-    ("montecarlo.spacing_hz", ("montecarlo", "--spacing-hz"), [0.0, -1.0e9],
-     [5e-324]),
-    ("montecarlo.num_trials", ("montecarlo", "--trials"), [0], [1]),
+    # an integer beyond the float range is not finite
+    ("montecarlo.spacing_hz", ("montecarlo", "--spacing-hz"),
+     [0.0, -1.0e9, "true", "9" * 400], [5e-324, "2.5", "1e5"]),
+    ("montecarlo.num_trials", ("montecarlo", "--trials"), [0, 1], [2]),
     ("montecarlo.seed", ("montecarlo", "--seed"), [-1, 2**64],
      [0, 2**64 - 1]),
     ("montecarlo.edge_margin", None, [0.5, -0.1], [0.0, 0.4999]),
     ("moments.theorem", ("moments", "--theorem"), [4, 0, 9], [1, 2, 3]),
-    ("moments.k", ("moments", "--k"), [0, 9, -1], [1, 8]),
-    ("moments.trials", ("moments", "--trials"), [1], [2]),
+    # YAML 1.1 reads 010 as octal
+    ("moments.k", ("moments", "--k"), [0, 9, -1], [1, 8, "010"]),
+    ("moments.trials", ("moments", "--trials"), [1, *TEXTS], [2]),
     ("moments.seed", ("moments", "--seed"), [-7, 2**64], [0, 2**64 - 1]),
     ("moments.num_ensembles", None, [0, -3], [1]),
     ("moments.grid_size", None, [0, -1], [1]),
     ("moments.num_processes", None, [0, -1], [1]),
     ("moments.num_sources", None, [0, -1], [1]),
-    ("cli.points", kernel_flag("--points"), [0, -3], [1]),
+    ("cli.points", kernel_flag("--points"), [0, -3, *TEXTS], [1]),
     ("cli.spacing", kernel_flag("--spacing"), ["lin", "Log"],
      ["log", "linear"]),
     ("cli.method", kernel_flag("--method"), ["closed_form", "simpson"],
@@ -509,55 +522,72 @@ RANGES = [
 ]
 
 
-def config_with(tmp_path, key, value):
-    """CONFIG with ``key`` (section.name) set to ``value``."""
+def config_with(tmp_path, key, text):
+    """CONFIG with ``key`` (section.name) set to the YAML text ``text``."""
     root = yaml.safe_load(CONFIG)
     section, name = key.split(".")
-    root.setdefault(section, {})[name] = value
+    root.setdefault(section, {})[name] = "__text__"
     path = tmp_path / "set.yaml"
-    path.write_text(yaml.safe_dump(root))
+    path.write_text(yaml.safe_dump(root).replace(": __text__\n",
+                                                 f": {text}\n"))
     return str(path)
 
 
 class TestRanges:
     """Each key's range is checked on load, in every section whichever
-    subcommand runs, and a flag's value gets the same check and message."""
+    subcommand runs, and a flag's text gets the same value, check and
+    message as the same text in the file."""
 
     @pytest.mark.parametrize("key,flag,bad,edge", RANGES,
                              ids=[r[0] for r in RANGES])
     def test_out_of_range_exits_1(self, config_path, tmp_path, capsys, key,
                                   flag, bad, edge):
         out = tmp_path / "never.csv"
-        for value in bad:
+        for text in map(str, bad):
             errors = []
             if not key.startswith("cli."):
                 # a psd run reads no montecarlo or moments parameter, yet
                 # its header records them: it must reject a bad one too
-                assert run(["--config", config_with(tmp_path, key, value),
+                assert run(["--config", config_with(tmp_path, key, text),
                             "--output", str(out), "psd"]) == 1
                 errors.append(capsys.readouterr().err)
             if flag:
                 command, name, *rest = flag
                 assert run(["--config", config_path, "--output", str(out),
-                            command, *rest, name, str(value)]) == 1
+                            command, *rest, name, text]) == 1
                 errors.append(capsys.readouterr().err)
             err = errors[0]
             assert err.startswith(f"gnmodel: configuration error: {key} "
                                   f"must be ")
-            assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
+            assert err.endswith(f", got {yaml.safe_load(text)!r}\n")
+            assert err.count("\n") == 1
             assert errors == [err] * len(errors)
         assert not out.exists()
 
     @pytest.mark.parametrize("key,flag,bad,edge", RANGES,
                              ids=[r[0] for r in RANGES])
-    def test_edge_of_range_is_accepted(self, tmp_path, key, flag, bad, edge):
+    def test_edge_of_range_is_accepted(self, config_path, tmp_path, key, flag,
+                                       bad, edge):
         section, name = key.split(".")
-        for value in edge:
+        for text in map(str, edge):
+            values = []
             if section != "cli":
-                cfg = load_config(config_with(tmp_path, key, value))
-                assert cfg.resolved[key] == value
+                cfg = load_config(config_with(tmp_path, key, text))
+                values.append(cfg.resolved[key])
             if flag:
-                assert check_flag(section, name, value) == value
+                command, flag_name, *rest = flag
+                args = _build_parser().parse_args(
+                    ["--config", config_path, "--output", "unused.csv",
+                     command, *rest, flag_name, text])
+                params, resolved = read_flags(
+                    command, vars(args), load_config(config_path).resolved)
+                assert resolved[key] == params[name]
+                values.append(params[name])
+            # the value YAML reads from the text, as the row types it
+            expected = yaml.safe_load(text)
+            if isinstance(values[0], float):
+                expected = float(expected)
+            assert values == [expected] * len(values)
 
 
 HEADER_CONFIG = """

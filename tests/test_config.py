@@ -1,5 +1,4 @@
 """YAML configuration loading: units, validation, defaults, resolved map."""
-import argparse
 import math
 import textwrap
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnmodel import (ConfigError, RaisedCosinePsd, RectangularPsd,
-                     TabulatedPsd, cli, config, load_config)
+                     TabulatedPsd, config, load_config)
 
 FULL = """
 link:
@@ -91,7 +90,7 @@ class TestFullConfig:
     def test_numeric_strings_parse(self, tmp_path):
         # YAML reads "1e9" (and unquoted 1e9 without a dot) as a string
         cfg = load_config(write(tmp_path, FULL))
-        assert cfg.montecarlo["spacing_hz"] == 1.0e9
+        assert cfg.resolved["montecarlo.spacing_hz"] == 1.0e9
 
     def test_psd_section(self, tmp_path):
         cfg = load_config(write(tmp_path, FULL))
@@ -104,11 +103,11 @@ class TestFullConfig:
         cfg = load_config(write(tmp_path, FULL))
         assert cfg.kernel_tolerance == 1.0e-9
         assert cfg.kernel_max_cells == 4096
-        assert cfg.montecarlo["mode"] == "erp1"
-        assert cfg.montecarlo["edge_margin"] == 0.1  # default kept
-        assert cfg.moments["theorem"] == 2
-        assert cfg.moments["k"] == 3
-        assert cfg.moments["grid_size"] == 32
+        assert cfg.resolved["montecarlo.mode"] == "erp1"
+        assert cfg.resolved["montecarlo.edge_margin"] == 0.1  # default kept
+        assert cfg.resolved["moments.theorem"] == 2
+        assert cfg.resolved["moments.k"] == 3
+        assert cfg.resolved["moments.grid_size"] == 32
 
     def test_resolved_map_spot_checks(self, tmp_path):
         cfg = load_config(write(tmp_path, FULL))
@@ -127,11 +126,12 @@ class TestDefaultsAndOmissions:
         assert cfg.link is None and cfg.signal is None
         assert cfg.kernel_tolerance == 1.0e-10
         assert cfg.kernel_max_cells == 1 << 21
-        assert cfg.montecarlo == {"mode": "rp1", "num_lines": 64,
-                                  "spacing_hz": 1.0e9, "num_trials": 2000,
-                                  "seed": 5, "edge_margin": 0.1}
-        assert cfg.moments["theorem"] == 3
-        assert cfg.moments["num_ensembles"] == 20
+        # what a montecarlo run without flags reads
+        assert config.read_flags("montecarlo", {}, cfg.resolved)[0] == {
+            "mode": "rp1", "num_lines": 64, "spacing_hz": 1.0e9,
+            "num_trials": 2000, "seed": 5, "edge_margin": 0.1}
+        assert cfg.resolved["moments.theorem"] == 3
+        assert cfg.resolved["moments.num_ensembles"] == 20
 
     def test_require_helpers_raise_when_sections_missing(self, tmp_path):
         cfg = load_config(write(tmp_path, "montecarlo:\n  seed: 5\n"))
@@ -259,7 +259,7 @@ class TestRejections:
           x: {kind: none}
           y: {kind: none}
         """
-        with pytest.raises(ConfigError, match="number, got a boolean"):
+        with pytest.raises(ConfigError, match="p0_w must be a number, got True"):
             load_config(write(tmp_path, text))
         with pytest.raises(ConfigError, match="integer"):
             load_config(write(tmp_path, "montecarlo:\n  num_trials: 2.5\n"))
@@ -362,19 +362,6 @@ class TestSchema:
                     assert config._value({key: rest[0]}, "default", key,
                                          kind, *rest) == rest[0], key
 
-    def test_every_override_flag_names_a_key_of_its_section(self):
-        # a flag whose dest is no key of its section would be ignored; the
-        # kernel subcommand's flags are the cli rows
-        subparsers, = (action for action in cli._build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction))
-        for command, section in (("montecarlo", "montecarlo"),
-                                 ("moments", "moments"), ("kernel", "cli")):
-            keys = {row[0] for row in config._FLAG_ROWS[section]}
-            dests = {action.dest for action
-                     in subparsers.choices[command]._actions
-                     if action.dest != "help"}
-            assert dests and dests <= keys, dests - keys
-
     def test_cli_rows_are_no_section_of_the_file(self, tmp_path):
         path = tmp_path / "cli.yaml"
         path.write_text("cli:\n  points: 3\n")
@@ -386,7 +373,8 @@ class TestSchema:
         # config does not import moments (it would load numpy.random at
         # start-up), so its copy of the bound is checked here
         from gnmodel.moments import MAX_MOMENT_ORDER
-        assert config.check_flag("moments", "k",
-                                 MAX_MOMENT_ORDER) == MAX_MOMENT_ORDER
+        params, _ = config.read_flags("moments", {"k": str(MAX_MOMENT_ORDER)},
+                                      {})
+        assert params["k"] == MAX_MOMENT_ORDER
         with pytest.raises(ConfigError, match="moments.k must be in"):
-            config.check_flag("moments", "k", MAX_MOMENT_ORDER + 1)
+            config.read_flags("moments", {"k": str(MAX_MOMENT_ORDER + 1)}, {})

@@ -61,8 +61,7 @@ class TestRaisedCosine:
         numeric = np.trapezoid(shape.evaluate(f), f)
         assert numeric == pytest.approx(h * b, rel=1e-8)
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=60)
+    @settings(max_examples=60)
     @given(center=st.sampled_from([0.0, 1e9]) | st.floats(-5e9, 5e9),
            bandwidth=st.floats(1e9, 5e10),
            height=st.floats(0.0, 10.0),
@@ -118,8 +117,7 @@ def clip_where_raised_cosine(shape, f):
 
 
 class TestRaisedCosineBandOnly:
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=60)
+    @settings(max_examples=60)
     @given(center=st.sampled_from([0.0, 1e9]) | st.floats(-5e9, 5e9),
            bandwidth=st.floats(1e9, 5e10),
            rolloff=st.sampled_from([0.0, 1e-3, 1.0]) | st.floats(0.0, 1.0),
