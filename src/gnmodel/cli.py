@@ -52,12 +52,14 @@ __all__ = ["run", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Bad flags are configuration errors (exit 1), not SystemExit(2), and a
-    signed decimal with an exponent (-2e22) is a value, not a flag: argparse
-    by itself takes only -<digits> and -.<digits> as negative numbers."""
+    """Bad flags are configuration errors (exit 1), not SystemExit(2); a flag
+    is only its declared spelling, never a prefix of it (--tri for --trials);
+    and a signed decimal with an exponent (-2e22) is a value, not a flag:
+    argparse by itself takes only -<digits> and -.<digits> as negative
+    numbers."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 

@@ -34,13 +34,24 @@ shares no lattice with a neighbour is a run of one, whose table is its own
 grid.  Runs are the unit of work of the thread pool, so results do not
 depend on the thread count.
 
-How a table is filled never changes its bits, because eta of an array is
-elementwise (``normalized_kernel_grid``):
-* when the axes are equal (every SPM run), f1 f2 == f2 f1 exactly, so only
-  the upper triangle with its diagonal is evaluated, then mirrored: about
-  half the table, so about one point's grid at most;
-* other tables are filled in row blocks no larger than one point's grid, so
-  memory stays within a small multiple of the per-point integrand;
+A run's table is filled only where the integrand can be nonzero.  The third
+factor Ghat(f + f1 + f2) is exactly 0 outside its support (lo3, hi3), so a
+cell whose f1 + f2 lies outside [lo3 - max f, hi3 - min f] over the run's
+points contributes nothing at any of them: for rectangular spectra this
+band is the GN model's lozenge-shaped domain.  Each row of the table keeps
+the one interval of columns (lat2 is increasing) whose lat1 + lat2 lies in
+that range widened by one cell, which absorbs the rounding between the
+lattice coordinates and each point's own f1, f2; every other cell stays 0.
+The bits cannot change:
+* a skipped cell has third factor c == 0 at every point of its run, so its
+  term a*b*c*w is +0 whatever w holds, and every sum keeps its bits;
+* eta of an array is elementwise (``normalized_kernel_grid``), so the cells
+  that are evaluated keep theirs.  When the axes are equal (every SPM run),
+  f1 f2 == f2 f1 exactly, so each row's interval starts no earlier than
+  the diagonal and the values are mirrored;
+* the band is selected one row block of at most one point's grid at a
+  time, so memory stays within a small multiple of the per-point
+  integrand;
 * on a dispersion-free link (``KernelModel.flat``) eta is one constant: it
   is evaluated at one product and broadcast, and no table is evaluated.
 """
@@ -182,24 +193,31 @@ def _runs(grid: np.ndarray, axes) -> list:
     return runs
 
 
-def _eta2_table(kernel, lat1, lat2, block_size):
-    """|eta(f1 f2)|^2 on the lattice lat1 x lat2, filled as the module
-    docstring describes: broadcast constant, mirrored triangle, or row
-    blocks of at most ``block_size`` elements."""
+def _eta2_table(kernel, lat1, lat2, low, high, block_size):
+    """|eta(f1 f2)|^2 on the lattice lat1 x lat2 where low <= lat1 + lat2 <=
+    high, 0 elsewhere, filled as the module docstring describes: broadcast
+    constant, or per-row column intervals in row blocks of at most
+    ``block_size`` cells, mirrored when the axes are equal."""
     shape = (lat1.size, lat2.size)
     if kernel.flat:
         eta = normalized_kernel_grid(kernel, lat1[:1] * lat2[:1])
         return np.broadcast_to(eta.real**2 + eta.imag**2, shape)
-    table = np.empty(shape)
-    if np.array_equal(lat1, lat2):
-        rows, cols = np.triu_indices(lat1.size)
-        eta = normalized_kernel_grid(kernel, lat1[rows] * lat1[cols])
-        table[rows, cols] = table[cols, rows] = eta.real**2 + eta.imag**2
-        return table
+    symmetric = np.array_equal(lat1, lat2)
+    start = np.searchsorted(lat2, low - lat1, side="left")
+    stop = np.searchsorted(lat2, high - lat1, side="right")
+    if symmetric:
+        start = np.maximum(start, np.arange(lat1.size))
+    table = np.zeros(shape)
+    columns = np.arange(lat2.size)
     block = max(1, block_size // lat2.size)
     for r in range(0, lat1.size, block):
-        eta = normalized_kernel_grid(kernel, lat1[r:r + block, None] * lat2[None, :])
-        table[r:r + block] = eta.real**2 + eta.imag**2
+        band = (start[r:r + block, None] <= columns) \
+            & (columns < stop[r:r + block, None])
+        eta = normalized_kernel_grid(kernel, (lat1[r:r + block, None] * lat2)[band])
+        values = eta.real**2 + eta.imag**2
+        table[r:r + block][band] = values
+        if symmetric:
+            table[:, r:r + block].T[band] = values
     return table
 
 
@@ -216,7 +234,12 @@ def _integrate_run(kernel, shapes, axes, grid, run) -> np.ndarray:
     # point shifted by (c1, c2) cells sits at (top1 - c1 + i, top2 - c2 + j)
     lat1 = (lo1 - f0) + (np.arange(n1 + top1 - min(s1)) + 0.5 - top1) * h1
     lat2 = (lo2 - f0) + (np.arange(n2 + top2 - min(s2)) + 0.5 - top2) * h2
-    table = _eta2_table(kernel, lat1, lat2, n1 * n2)
+    # f + f1 + f2 of any point lies within [lo3, hi3] only on this band
+    lo3, hi3 = third.support
+    points = grid[idx]
+    margin = max(h1, h2)
+    table = _eta2_table(kernel, lat1, lat2, lo3 - points.max() - margin,
+                        hi3 - points.min() + margin, n1 * n2)
     values = np.empty(len(idx))
     for j, (k, c1, c2) in enumerate(zip(idx, s1, s2)):
         f = float(grid[k])

@@ -11,7 +11,12 @@ independent evaluators are provided:
 * ``kernel_closed_form`` — per-span analytic integration.  Within span i the
   exponent is affine in s, so the segment integral is
   gamma'_i G_i exp(-j C_i theta) * (exp(w_i L_i) - 1)/w_i with
-  w_i = -alpha_i + j beta2_i theta and theta = (2 pi)^2 F.
+  w_i = -alpha_i + j beta2_i theta and theta = (2 pi)^2 F.  A span that
+  starts at C_i = 0 (the first span of a link without pre-dispersion) skips
+  its phase factor: for finite theta, exp(-j 0 theta) is exactly 1 with a
+  +-0 imaginary part and the product with it is the real amplitude promoted
+  to complex, so skipping it changes no bit and leaves one complex exp per
+  such span (an overflowing theta stays non-finite either way).
 * ``kernel_quadrature`` — adaptive composite Simpson rule over z on the
   span-local restriction of the ``power_gain`` / ``cumulated_dispersion``
   profiles, with an initial resolution of at most pi/8 phase change per cell
@@ -113,7 +118,9 @@ def kernel_closed_form(model: KernelModel, F):
     """K(F) by exact per-span integration; scalar or array F in Hz^2.
 
     Sums gamma'_i G_i exp(-j C_i theta) L_i * (exp(w_i L_i) - 1)/(w_i L_i)
-    over spans, where C_i and G_i are the profile values at the span start.
+    over spans, where C_i and G_i are the profile values at the span start;
+    the phase factor is skipped where C_i == 0, with the same bits (see the
+    module docstring).
     """
     F = np.asarray(F, dtype=float)
     theta = PHASE_RATE * F
@@ -121,8 +128,9 @@ def kernel_closed_form(model: KernelModel, F):
     for i in range(len(model._length)):
         w = -model._alpha[i] + 1j * model._beta2[i] * theta
         amp = model._gamma_eff[i] * model._g0[i] * model._length[i]
-        out += amp * np.exp(-1j * model._c0[i] * theta) \
-            * _exp_ratio(w * model._length[i])
+        if model._c0[i] != 0.0:
+            amp = amp * np.exp(-1j * model._c0[i] * theta)
+        out += amp * _exp_ratio(w * model._length[i])
     return complex(out) if np.ndim(F) == 0 else out
 
 

@@ -702,6 +702,20 @@ class TestDriver:
         err = capsys.readouterr().err
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--thr", "2", "psd"],
+        ["kernel", "--f-min", "1e18", "--f-max-hz2", "1e20", "--points", "2"],
+        ["montecarlo", "--tri", "3", "--li", "16"],
+        ["moments", "--theo", "1", "--trials", "100"],
+    ], ids=["psd", "kernel", "montecarlo", "moments"])
+    def test_flag_prefix_exits_1(self, config_path, tmp_path, capsys, argv):
+        # a flag is its declared spelling only, not any prefix of it
+        out = tmp_path / "never.csv"
+        assert run(["--config", config_path, "--output", str(out),
+                    *argv]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("output", ["absent/run.csv", "."])
     def test_bad_output_exits_1_before_any_trial(self, config_path, tmp_path,
                                                  capsys, output):

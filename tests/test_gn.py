@@ -1,6 +1,7 @@
 """GN engine: phase identity, analytic oracle, independent reassembly."""
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
-                     RaisedCosinePsd, RectangularPsd, Span, gn, nli_psd_x,
-                     phase_term_coefficient)
+                     RaisedCosinePsd, RectangularPsd, Span, TabulatedPsd, gn,
+                     nli_psd_x, phase_term_coefficient)
+from gnmodel.cli import run
 from gnmodel.gn import _cell_axis, _runs
 from gnmodel.kernel import kernel_closed_form, normalized_kernel_grid
 
@@ -231,10 +233,11 @@ class TestEngineContracts:
             self.request(inner_grid_step_hz=0.0)
 
 
-def deduplicated_row_block_table(kernel, lat1, lat2, block_size):
+def deduplicated_row_block_table(kernel, lat1, lat2, low, high, block_size):
     """The |eta|^2 table fill the engine replaced: row blocks of at most
     ``block_size`` elements, each deduplicated through ``np.unique``, with
-    no triangle and no dispersion-free shortcut."""
+    no band (``low`` and ``high`` are not read), no triangle and no
+    dispersion-free shortcut."""
     table = np.empty((lat1.size, lat2.size))
     block = max(1, block_size // lat2.size)
     for r in range(0, lat1.size, block):
@@ -257,14 +260,24 @@ LINKS = {
 
 @st.composite
 def small_gn_inputs(draw):
-    """Small raised-cosine and rectangular requests on the three links; the
-    grid step is sometimes a whole number of cells, so runs share tables."""
+    """Small raised-cosine, rectangular and tabulated requests on the three
+    links; the grid step is sometimes a whole number of cells, so runs share
+    tables.  A table's end values are not zero, so it jumps at both ends."""
     def shape():
         center = draw(st.floats(-1e9, 1e9))
         bandwidth = draw(st.floats(3e9, 8e9))
         height = draw(st.floats(0.1, 2.0))
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["rectangular", "raised_cosine",
+                                     "tabulated"]))
+        if kind == "rectangular":
             return RectangularPsd(center, bandwidth, height)
+        if kind == "tabulated":
+            nodes = draw(st.integers(2, 9))
+            values = draw(st.lists(st.floats(0.1, 2.0), min_size=nodes,
+                                   max_size=nodes))
+            return TabulatedPsd(
+                center + bandwidth * np.linspace(-0.5, 0.5, nodes),
+                height * np.array(values))
         rolloff = draw(st.sampled_from([0.0, 1e-3, 0.3, 1.0])
                        | st.floats(0.0, 1.0))
         return RaisedCosinePsd(center, bandwidth, rolloff, height)
@@ -282,7 +295,7 @@ def small_gn_inputs(draw):
 
 
 class TestTableFillBitContract:
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     @given(req=small_gn_inputs())
     def test_psd_equals_deduplicated_row_block_fill(self, req):
         result = nli_psd_x(req)
@@ -291,3 +304,62 @@ class TestTableFillBitContract:
         np.testing.assert_array_equal(result.spm, reference.spm)
         np.testing.assert_array_equal(result.xpolm, reference.xpolm)
         np.testing.assert_array_equal(result.total, reference.total)
+
+    @settings(max_examples=60)
+    @given(req=small_gn_inputs())
+    def test_unevaluated_cells_have_zero_third_factor(self, req):
+        # eta is replaced by ones, so a table cell reads 1 where the fill
+        # evaluated it and 0 where it left it; each run's points then
+        # evaluate their third factor exactly as _integrate_run does
+        runs, tables = [], []
+
+        def recording_run(kernel, shapes, axes, grid, run):
+            runs.append((shapes, axes, grid, run))
+            return integrate_run(kernel, shapes, axes, grid, run)
+
+        def recording_table(*args):
+            tables.append(eta2_table(*args))
+            return tables[-1]
+
+        integrate_run, eta2_table = gn._integrate_run, gn._eta2_table
+        with mock.patch.object(gn, "_integrate_run", recording_run), \
+                mock.patch.object(gn, "_eta2_table", recording_table), \
+                mock.patch.object(gn, "normalized_kernel_grid",
+                                  lambda kernel, F: np.ones(F.shape)):
+            nli_psd_x(req)
+        assert len(runs) == len(tables) > 0
+        for (shapes, axes, grid, run), table in zip(runs, tables):
+            third = shapes[2]
+            (lo1, _, off1), (lo2, _, off2) = axes
+            idx, s1, s2 = run
+            top1, top2 = max(s1), max(s2)
+            for k, c1, c2 in zip(idx, s1, s2):
+                f = float(grid[k])
+                f1 = (lo1 - f) + off1
+                f2 = (lo2 - f) + off2
+                c = third.evaluate(f + f1[:, None] + f2[None, :])
+                window = table[top1 - c1:top1 - c1 + off1.size,
+                               top2 - c2:top2 - c2 + off2.size]
+                assert np.all(c[window == 0] == 0)
+
+
+class TestWorkCount:
+    """Kernel products that the |eta|^2 tables evaluate for ``psd`` on the
+    demo configuration: 133,583 when every cell was filled, 81,355 on the
+    band.  A fill that evaluates cells the integrand cannot reach fails."""
+
+    DEMO_PSD_PRODUCTS = 81_355
+
+    def test_demo_psd_evaluates_only_the_band(self, tmp_path):
+        counted = []
+
+        def counting(kernel, F):
+            counted.append(np.size(F))
+            return normalized_kernel_grid(kernel, F)
+
+        config = Path(__file__).resolve().parent.parent / "demos" \
+            / "single_span.yaml"
+        with mock.patch.object(gn, "normalized_kernel_grid", counting):
+            assert run(["--config", str(config), "--output",
+                        str(tmp_path / "psd.csv"), "psd"]) == 0
+        assert 0 < sum(counted) <= self.DEMO_PSD_PRODUCTS

@@ -304,6 +304,66 @@ class TestGridBitContract:
         assert np.array_equal(_bits(whole[cols, rows]), _bits(tri))
 
 
+def two_exp_closed_form(model, F):
+    """The closed form with the phase factor exp(-j C_i theta) taken on every
+    span, kept as the bit reference of ``kernel_closed_form``, which skips
+    that factor where C_i == 0: it is exactly 1 with a +-0 imaginary part
+    there."""
+    theta = PHASE_RATE * np.asarray(F, dtype=float)
+    out = np.zeros(theta.shape, dtype=complex)
+    for i in range(len(model._length)):
+        w = -model._alpha[i] + 1j * model._beta2[i] * theta
+        amp = model._gamma_eff[i] * model._g0[i] * model._length[i]
+        out += amp * np.exp(-1j * model._c0[i] * theta) \
+            * _exp_ratio(w * model._length[i])
+    return out
+
+
+def flat_span_model():
+    span = Span(length_m=80e3, alpha_per_m=ALPHA, beta2_s2_per_m=0.0,
+                gamma_per_w_m=1.3e-3)
+    return KernelModel(link=LinkProfile(spans=(span,)))
+
+
+# the demo span, a lossless span (series branch near F = 0), a flat link,
+# all starting at zero cumulated dispersion, and the 3-span link with
+# pre-dispersion, whose every span keeps its phase factor
+PHASE_MODELS = [single_span_model, lossless_span_model, flat_span_model,
+                multi_span_model]
+
+
+class TestPhaseFactorBitContract:
+    @pytest.mark.parametrize("make_model", PHASE_MODELS,
+                             ids=lambda make: make.__name__)
+    def test_edge_values(self, make_model):
+        model = make_model()
+        F = np.array([0.0, -0.0, 1e30, -1e30, -3.3e20, -1e15, 1e17, 7.7e21])
+        assert np.array_equal(_bits(kernel_closed_form(model, F)),
+                              _bits(two_exp_closed_form(model, F)))
+        for value in F:
+            assert np.array_equal(_bits(kernel_closed_form(model, value)),
+                                  _bits(two_exp_closed_form(model, value)))
+
+    @pytest.mark.parametrize("make_model", PHASE_MODELS,
+                             ids=lambda make: make.__name__)
+    def test_phase_overflow_is_not_finite_on_both_sides(self, make_model):
+        # theta = (2 pi)^2 F overflows to +-inf
+        model = make_model()
+        F = np.array([1e307, -1e307, 1.7e308])
+        with np.errstate(all="ignore"):
+            got = kernel_closed_form(model, F)
+            reference = two_exp_closed_form(model, F)
+        assert not np.any(np.isfinite(got))
+        assert not np.any(np.isfinite(reference))
+
+    @BIT_CONTRACT
+    @given(F=F_ARRAYS, make_model=st.sampled_from(PHASE_MODELS))
+    def test_equals_two_exp_formula(self, F, make_model):
+        model = make_model()
+        assert np.array_equal(_bits(kernel_closed_form(model, F)),
+                              _bits(two_exp_closed_form(model, F)))
+
+
 class TestKernelInvariants:
     @BIT_CONTRACT
     @given(link=LINKS, F=QUADRATURE_F)

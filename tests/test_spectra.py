@@ -187,6 +187,51 @@ class TestTabulated:
             TabulatedPsd.from_csv(wide)
 
 
+@st.composite
+def tabulated_shapes(draw):
+    """Tables of 2-12 nodes whose values, the end values included, are not
+    zero: the shape jumps to 0 at both ends of its support."""
+    start = draw(st.floats(-5e9, 5e9))
+    gaps = draw(st.lists(st.floats(1e8, 1e10), min_size=1, max_size=11))
+    values = draw(st.lists(st.floats(0.1, 2.0), min_size=len(gaps) + 1,
+                           max_size=len(gaps) + 1))
+    return TabulatedPsd(start + np.concatenate([[0.0], np.cumsum(gaps)]),
+                        np.array(values))
+
+
+# the shapes the GN engine's |eta|^2 band relies on
+BAND_SHAPES = st.one_of(
+    st.builds(RectangularPsd, center_hz=st.floats(-5e9, 5e9),
+              bandwidth_hz=st.floats(1e9, 5e10), height=st.floats(0.1, 10.0)),
+    st.builds(RaisedCosinePsd, center_hz=st.floats(-5e9, 5e9),
+              bandwidth_hz=st.floats(1e9, 5e10),
+              rolloff=st.sampled_from([0.0, 1e-3, 1.0]),
+              height=st.floats(0.1, 10.0)),
+    tabulated_shapes())
+
+
+class TestZeroOutsideSupport:
+    """The GN engine leaves |eta|^2 unevaluated where f + f1 + f2 lies a cell
+    or more beyond the third PSD's support, which is exact only because the
+    shape is exactly 0 there.  Rounding is monotone, so it is 0 from one
+    ulp outside on; at the support's own ends it may be nonzero."""
+
+    @settings(max_examples=200)
+    @given(shape=BAND_SHAPES, cells=st.integers(16, 4096),
+           beyond=st.floats(1.0, 1e3))
+    def test_exactly_zero_from_one_ulp_outside(self, shape, cells, beyond):
+        lo, hi = shape.support
+        h = (hi - lo) / cells
+        above = [np.nextafter(hi, np.inf), hi + h,
+                 np.nextafter(hi + h, np.inf), hi + beyond * h]
+        below = [np.nextafter(lo, -np.inf), lo - h,
+                 np.nextafter(lo - h, -np.inf), lo - beyond * h]
+        f = np.array(above + below)
+        assert np.array_equal(shape.evaluate(f), np.zeros(f.size))
+        for value in f:
+            assert shape.evaluate(float(value)) == 0.0
+
+
 class TestDualPol:
     def test_power_properties(self):
         psd = DualPolPsd(gx=RectangularPsd(0.0, 10e9, 1.0),
