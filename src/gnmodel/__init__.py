@@ -37,7 +37,7 @@ _EXPORTS = {
                 "theorem3_discrete_check"),
     "config": ("RunConfig", "load_config"),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "parallel", "rng"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "parallel", "rng", "stats"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_HOME)

@@ -217,8 +217,8 @@ def _run_psd(cfg: RunConfig, params, resolved, threads):
 
 def _run_montecarlo(cfg: RunConfig, params, resolved, threads):
     from .gn import GnRequest, nli_psd_x
-    from .moments import abs_z_score
     from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
+    from .stats import abs_z_score
     psd = cfg.require_signal()
     model = _kernel_model(cfg)
     trial_cfg = TrialConfig(**params)

@@ -21,6 +21,9 @@ independent evaluators are provided:
   span-local restriction of the ``power_gain`` / ``cumulated_dispersion``
   profiles, with an initial resolution of at most pi/8 phase change per cell
   and cell-count doubling until the relative change meets the tolerance.
+  Each level's positions and integrand are computed in place, in two arrays
+  the size of the level: the same ufuncs on the same operands in the same
+  order as the grouped expression, so in-place evaluation changes no bit.
 
 Each serves as the other's oracle; the engines use the closed form.
 """
@@ -135,7 +138,7 @@ def kernel_closed_form(model: KernelModel, F):
 
 
 def _span_integrand(model, span_index, theta, s):
-    """gamma' G(s) exp(-j theta C(s)) at span-local positions s.
+    """gamma' G(s) exp(-j theta C(s)) at span-local positions s; overwrites s.
 
     Uses the one-sided restriction of the profiles to the span,
     G(s) = G_i exp(-alpha_i s) and C(s) = C_i - beta2_i s in span-local s:
@@ -143,18 +146,32 @@ def _span_integrand(model, span_index, theta, s):
     invariant), but at the right endpoint the restriction takes the
     within-span limit instead of the next span's post-lumped-gain value,
     which a pointwise profile lookup would return.
+
+    The value is gamma' * (G_i * exp(-alpha_i s)) * exp(-j theta (C_i -
+    beta2_i s)) with Python's grouping, one ufunc per step; the steps run
+    in place on ``s`` (a float array the caller gives up) and on one complex
+    array, so no constant is folded and every value keeps its bits.
     """
-    g = model._g0[span_index] * np.exp(-model._alpha[span_index] * s)
-    c = model._c0[span_index] - model._beta2[span_index] * s
-    return model._gamma_eff[span_index] * g * np.exp(-1j * theta * c)
+    c = np.multiply(model._beta2[span_index], s)
+    np.subtract(model._c0[span_index], c, out=c)
+    e = np.multiply(-1j * theta, c)
+    np.exp(e, out=e)
+    g = np.multiply(-model._alpha[span_index], s, out=s)
+    np.exp(g, out=g)
+    np.multiply(model._g0[span_index], g, out=g)
+    np.multiply(model._gamma_eff[span_index], g, out=g)
+    return np.multiply(g, e, out=e)
 
 
 def _midpoint_sums(model, theta, cells):
     """Per span, the integrand summed over the midpoints of its cells."""
-    return np.array([
-        np.sum(_span_integrand(model, i, theta,
-                               (np.arange(n) + 0.5) * (model._length[i] / n)))
-        for i, n in enumerate(cells)])
+    sums = []
+    for i, n in enumerate(cells):
+        s = np.arange(n, dtype=float)
+        s += 0.5
+        s *= model._length[i] / n
+        sums.append(np.sum(_span_integrand(model, i, theta, s)))
+    return np.array(sums)
 
 
 def kernel_quadrature(model: KernelModel, F: float) -> complex:

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import ConfigError
 from .parallel import ordered_map
 from .rng import complex_normals, moment_stream
+from .stats import abs_z_score
 
 __all__ = [
     "GaussianEnsemble",
@@ -45,7 +46,6 @@ __all__ = [
     "CheckResult",
     "CheckReport",
     "StationaryProcessSet",
-    "abs_z_score",
     "cgmt_sum",
     "mc_moment",
     "theorem1_discrete_check",
@@ -57,13 +57,21 @@ MAX_MOMENT_ORDER = 8  # 8! = 40320 permutation terms
 
 _Z_THRESHOLD = 4.0
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
 
 def _normals(seed: int, *shape) -> np.ndarray:
     """i.i.d. standard circular complex normals (E|z|^2 = 1) of ``shape``,
-    drawn from the seed's moment stream and scaled in place."""
-    n = complex_normals(moment_stream(seed, 0), math.prod(shape)).reshape(shape)
-    n /= math.sqrt(2.0)
-    return n
+    drawn from the seed's moment stream and scaled in place.
+
+    The scale multiplies the real and imaginary parts by 1/sqrt(2) in real
+    arithmetic.  NumPy's complex division by sqrt(2) + 0j computes
+    (a + b*0) * (1/sqrt(2)) per part, so the two agree bit for bit unless a
+    part is exactly -0.0."""
+    n = complex_normals(moment_stream(seed, 0), math.prod(shape))
+    parts = n.view(float)
+    parts *= _INV_SQRT2
+    return n.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -220,13 +228,6 @@ class CheckReport:
     @property
     def max_z(self) -> float:
         return max((c.z_score for c in self.checks), default=0.0)
-
-
-def abs_z_score(delta: float, stderr: float) -> float:
-    """|delta| in standard errors; 0 for an exact zero-variance match."""
-    if stderr > 0:
-        return abs(delta) / stderr
-    return 0.0 if delta == 0 else math.inf
 
 
 def _score(name, estimate, stderr, expected, formula_gap=0.0, gap_scale=1.0):

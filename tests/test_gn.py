@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
-                     RaisedCosinePsd, RectangularPsd, Span, TabulatedPsd, gn,
-                     nli_psd_x, phase_term_coefficient)
+                     RaisedCosinePsd, RectangularPsd, Span, TabulatedPsd,
+                     TrialConfig, estimate_nli_psd, gn, nli_psd_x,
+                     phase_term_coefficient)
 from gnmodel.cli import run
 from gnmodel.gn import _cell_axis, _runs
 from gnmodel.kernel import kernel_closed_form, normalized_kernel_grid
@@ -341,6 +342,32 @@ class TestTableFillBitContract:
                 window = table[top1 - c1:top1 - c1 + off1.size,
                                top2 - c2:top2 - c2 + off2.size]
                 assert np.all(c[window == 0] == 0)
+
+
+class TestPowerScaling:
+    """The outputs are normalized to Phi_NL^2, so scaling P0 by lam moves
+    only the absolute PSD, P0 Phi_NL^2 total, as lam^3."""
+
+    @settings(max_examples=30)
+    @given(req=small_gn_inputs(),
+           lam=st.sampled_from([0.5, 2.0, 10.0]) | st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2**64 - 1))
+    def test_normalized_outputs_do_not_move(self, req, lam, seed):
+        psd = req.psd
+        scaled = replace(req, psd=replace(psd, p0_w=lam * psd.p0_w))
+        base, moved = nli_psd_x(req), nli_psd_x(scaled)
+        for name in ("spm", "xpolm", "phase", "total"):
+            np.testing.assert_array_equal(getattr(moved, name),
+                                          getattr(base, name))
+        np.testing.assert_allclose(moved.total_absolute_w_per_hz,
+                                   lam**3 * base.total_absolute_w_per_hz,
+                                   rtol=1e-12, atol=0.0)
+
+        cfg = TrialConfig(spacing_hz=1e9, num_lines=32, num_trials=3,
+                          seed=seed)
+        np.testing.assert_array_equal(
+            estimate_nli_psd(cfg, scaled.psd, req.kernel).mean,
+            estimate_nli_psd(cfg, psd, req.kernel).mean)
 
 
 class TestWorkCount:

@@ -1,5 +1,7 @@
 """Kernel evaluators: closed form, quadrature, normalization, failure modes."""
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from gnmodel import (KernelConvergenceError, KernelModel, LinkProfile, Span,
                      kernel_closed_form, kernel_quadrature, normalized_kernel,
                      normalized_kernel_grid)
+from gnmodel import kernel
 from gnmodel.kernel import PHASE_RATE, _exp_ratio
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
@@ -57,20 +60,25 @@ FLAT_LINKS = st.builds(LinkProfile, spans=st.lists(FLAT_SPANS, min_size=1,
                                                    max_size=4).map(tuple))
 
 
-# links of 1-4 spans: lossy and lossless, dispersion of either sign or none,
-# lumped gains, with and without pre-dispersion
-LINKS = st.builds(
-    LinkProfile,
-    spans=st.lists(st.builds(
-        Span,
-        length_m=st.floats(1e3, 1.5e5),
-        alpha_per_m=st.sampled_from([0.0, ALPHA]) | st.floats(0.0, 3 * ALPHA),
-        beta2_s2_per_m=st.just(0.0) | st.floats(-30e-27, 30e-27),
-        gamma_per_w_m=st.floats(1e-4, 3e-3),
-        lumped_gain_db=st.floats(0.0, 20.0),
-    ), min_size=1, max_size=4).map(tuple),
-    xi_pre_s2=st.just(0.0) | st.floats(-5e-24, 5e-24),
-)
+def links(max_spans):
+    """Links of 1 to ``max_spans`` spans: lossy and lossless, dispersion of
+    either sign or none, lumped gains, with and without pre-dispersion."""
+    return st.builds(
+        LinkProfile,
+        spans=st.lists(st.builds(
+            Span,
+            length_m=st.floats(1e3, 1.5e5),
+            alpha_per_m=st.sampled_from([0.0, ALPHA])
+            | st.floats(0.0, 3 * ALPHA),
+            beta2_s2_per_m=st.just(0.0) | st.floats(-30e-27, 30e-27),
+            gamma_per_w_m=st.floats(1e-4, 3e-3),
+            lumped_gain_db=st.floats(0.0, 20.0),
+        ), min_size=1, max_size=max_spans).map(tuple),
+        xi_pre_s2=st.just(0.0) | st.floats(-5e-24, 5e-24),
+    )
+
+
+LINKS = links(4)
 
 # criterion 1's range: at |F| = 3e22 these links need at most 1.4e4 initial
 # cells per span (|beta2 theta| L / (pi/8)), so seven doublings still fit
@@ -387,3 +395,72 @@ class TestKernelInvariants:
         assert np.array_equal(_bits(negative.real), _bits(conjugate.real))
         assert normalized_kernel(model, 0.0) == 1.0 + 0.0j
 
+
+def expression_integrand(model, i, theta, s):
+    """The quadrature integrand as one grouped expression with temporaries,
+    kept as the bit reference of the in-place ``_span_integrand``."""
+    g = model._g0[i] * np.exp(-model._alpha[i] * s)
+    c = model._c0[i] - model._beta2[i] * s
+    return model._gamma_eff[i] * g * np.exp(-1j * theta * c)
+
+
+def expression_midpoint_sums(model, theta, cells):
+    return np.array([
+        np.sum(expression_integrand(
+            model, i, theta, (np.arange(n) + 0.5) * (model._length[i] / n)))
+        for i, n in enumerate(cells)])
+
+
+def expression_quadrature(model, F):
+    with mock.patch.object(kernel, "_span_integrand", expression_integrand), \
+            mock.patch.object(kernel, "_midpoint_sums",
+                              expression_midpoint_sums):
+        return kernel_quadrature(model, F)
+
+
+# +-0, small |F| that converges within a few levels, and criterion 1's range
+QUADRATURE_BIT_F = st.one_of(st.sampled_from([0.0, -0.0]),
+                             st.floats(-1e17, 1e17), QUADRATURE_F)
+
+
+class TestQuadratureBitContract:
+    @pytest.mark.parametrize("F", [0.0, -0.0, 1e16, -2.5e19, 7e21, 3e22,
+                                   -3e22])
+    def test_criterion_1_link(self, F):
+        model = multi_span_model()
+        assert np.array_equal(_bits(kernel_quadrature(model, F)),
+                              _bits(expression_quadrature(model, F)))
+
+    @settings(max_examples=60)
+    @given(link=links(3), F=QUADRATURE_BIT_F)
+    def test_equals_expression_integrand(self, link, F):
+        model = KernelModel(link=link)
+        assert np.array_equal(_bits(kernel_quadrature(model, F)),
+                              _bits(expression_quadrature(model, F)))
+
+    def test_integrand_alone(self):
+        # the value keeps its bits, and the positions it overwrites are not
+        # the array it returns
+        model = multi_span_model()
+        s = np.linspace(0.0, model._length[1], 33)
+        want = expression_integrand(model, 1, PHASE_RATE * 3e21, s.copy())
+        got = kernel._span_integrand(model, 1, PHASE_RATE * 3e21, s)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert not np.shares_memory(got, s)
+
+
+class TestQuadratureMemory:
+    # traced peak of one F = 3e22 call on criterion 1's link: 10,858,816
+    # bytes with levels evaluated in place, 21,450,424 with a temporary per
+    # elementwise step
+    PEAK_BYTES = 10_858_816
+
+    def test_traced_peak_of_one_call(self):
+        model = multi_span_model()
+        tracemalloc.start()
+        try:
+            kernel_quadrature(model, 3e22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.PEAK_BYTES

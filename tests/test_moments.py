@@ -174,6 +174,20 @@ class TestMcMoment:
         assert est == 0 and stderr == 0
 
 
+class TestNormals:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 4), (2, 3, 17), (0, 4),
+                                       (64, 1000)])
+    @pytest.mark.parametrize("seed", [0, 1, 31, 7919, 424242, 2**63 + 5])
+    def test_equals_complex_division(self, seed, shape):
+        # the real-arithmetic scale against the complex division it replaces
+        want = complex_normals(moment_stream(seed, 0),
+                               math.prod(shape)).reshape(shape)
+        want /= math.sqrt(2.0)
+        got = moments._normals(seed, *shape)
+        assert got.shape == shape and got.dtype == complex
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestScoring:
     def test_empty_report(self):
         report = CheckReport()

@@ -18,9 +18,10 @@ import gnmodel
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
 
-# what setup (the CLI import, load_config, KernelModel) loaded, and what an
-# in-process psd run loaded on top of it; numpy is imported before the first
-# snapshot, so its own eager imports (numpy.random on NumPy 1.x) do not count
+# what setup (the CLI import, load_config, KernelModel) loaded, what an
+# in-process psd run loaded on top of it, and what a montecarlo run loaded
+# after that; numpy is imported before the first snapshot, so its own eager
+# imports (numpy.random on NumPy 1.x) do not count
 PROBE = """
 import json, sys
 import numpy
@@ -33,7 +34,11 @@ KernelModel(link=cfg.link, quadrature_tolerance=cfg.kernel_tolerance,
 setup = set(sys.modules) - before
 assert gnmodel.cli.run(["--config", sys.argv[1], "--output", sys.argv[2],
                         "psd"]) == 0
-print(json.dumps({"setup": sorted(setup), "psd": sorted(sys.modules)}))
+psd = sorted(sys.modules)
+assert gnmodel.cli.run(["--config", sys.argv[1], "--output", sys.argv[3],
+                        "montecarlo", "--trials", "4"]) == 0
+print(json.dumps({"setup": sorted(setup), "psd": psd,
+                  "montecarlo": sorted(sys.modules)}))
 """
 
 
@@ -42,7 +47,8 @@ def test_setup_loads_no_engine_it_does_not_run(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, str(DEMO), str(tmp_path / "psd.csv")],
+        [sys.executable, "-c", PROBE, str(DEMO), str(tmp_path / "psd.csv"),
+         str(tmp_path / "mc.csv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
@@ -54,6 +60,10 @@ def test_setup_loads_no_engine_it_does_not_run(tmp_path):
     assert "gnmodel.gn" in after_psd
     assert "gnmodel.moments" not in after_psd
     assert "gnmodel.montecarlo" not in after_psd
+    # the montecarlo CSV's z-score comes from the engine-free stats module
+    after_mc = set(loaded["montecarlo"])
+    assert {"gnmodel.montecarlo", "gnmodel.stats"} <= after_mc
+    assert "gnmodel.moments" not in after_mc
 
 
 class TestNamespace:
