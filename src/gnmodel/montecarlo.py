@@ -37,8 +37,8 @@ regroups per line shift m as
 
 one small GEMM per shift, carrying SPM and XPolM in one operand.  Every
 product is restricted to the PSD supports, and eta is evaluated once per
-request on the integer products m (i-k) the blocks use.  BLAS does any
-parallel work.
+request on the integer products m (i-k) the blocks use.  Its GEMMs run
+outside the worker pool of ``parallel.ordered_map``, on the BLAS pool.
 
 Draws: each request moves one Philox generator from stream to stream
 (``rng.FieldStreams``) instead of building one per trial and polarization;

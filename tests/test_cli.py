@@ -763,6 +763,26 @@ class TestDriver:
         assert "configuration error" in done.stderr
         assert not out.exists()
 
+    def test_package_runs_main(self, tmp_path):
+        # python -m gnmodel: --help exits 0, and a psd run on the demo
+        # writes the bytes cli.run writes
+        src = os.path.dirname(os.path.dirname(gnmodel.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        module = [sys.executable, "-m", "gnmodel"]
+        done = subprocess.run(module + ["--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: gnmodel ")
+        demo = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "demos", "single_span.yaml")
+        argv = ["--config", demo, "--output"]
+        subprocess.run(module + argv + [str(tmp_path / "module.csv"), "psd"],
+                       env=env, check=True, timeout=120)
+        assert run(argv + [str(tmp_path / "run.csv"), "psd"]) == 0
+        assert (tmp_path / "module.csv").read_bytes() == \
+            (tmp_path / "run.csv").read_bytes()
+
     def test_main_raises_system_exit(self, monkeypatch):
         monkeypatch.setattr("sys.argv", ["gnmodel"])
         with pytest.raises(SystemExit) as info:

@@ -93,6 +93,22 @@ class TestZeroDispersionOracle:
         assert result.spm[0] == pytest.approx(self.ANALYTIC, rel=3e-3)
         assert result.xpolm[0] == 0.0  # zero-power partner short-circuits
 
+    @settings(max_examples=30)
+    @given(bandwidth=st.floats(1e9, 100e9), g0=st.floats(0.1, 2.0),
+           n=st.integers(16, 1024))
+    def test_hexagon_holds_on_random_bandwidth_and_step(self, bandwidth, g0,
+                                                         n):
+        # the midpoint sum's first-order bias: at most 2/(3n) as measured,
+        # often far less; this bound may only move down
+        psd = DualPolPsd(gx=RectangularPsd(0.0, bandwidth, g0),
+                         gy=RectangularPsd(0.0, bandwidth, 0.0), p0_w=1e-3)
+        req = GnRequest(psd=psd, kernel=self.model(),
+                        output_grid_hz=np.array([0.0]),
+                        inner_grid_step_hz=bandwidth / n,
+                        include_phase_term=False)
+        spm = float(nli_psd_x(req).spm[0])
+        assert abs(spm / (1.5 * g0**3 * bandwidth**2) - 1.0) <= 0.67 / n
+
 
 def y_polarization(req):
     """The Y polarization's NLI PSD: the X PSD of the swapped input."""
@@ -368,6 +384,21 @@ class TestPowerScaling:
         np.testing.assert_array_equal(
             estimate_nli_psd(cfg, scaled.psd, req.kernel).mean,
             estimate_nli_psd(cfg, psd, req.kernel).mean)
+
+
+class TestPolarizationSwap:
+    """Y is X of the swapped input; swapping twice gives back the input's
+    X PSD to the bit."""
+
+    @settings(max_examples=30)
+    @given(req=small_gn_inputs())
+    def test_double_swap_is_exact(self, req):
+        base = nli_psd_x(req)
+        twice = nli_psd_x(replace(req, psd=req.psd.swapped().swapped()))
+        for name in ("spm", "xpolm", "phase", "total",
+                     "total_absolute_w_per_hz"):
+            np.testing.assert_array_equal(getattr(twice, name),
+                                          getattr(base, name))
 
 
 class TestWorkCount:

@@ -378,11 +378,17 @@ class TestEstimator:
         for a, b in zip(one, two):
             np.testing.assert_array_equal(a, b)
 
-    def test_polarization_swap_is_exact(self):
-        cfg = self.cfg(num_trials=64)
-        direct = estimate_nli_psd(cfg, self.psd, self.kernel,
-                                  polarization="y")
-        swapped = estimate_nli_psd(cfg, self.psd.swapped(), self.kernel,
+    @settings(max_examples=25)
+    @given(gx=oracle_shapes(), gy=oracle_shapes(),
+           seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 6),
+           mode=st.sampled_from(["rp1", "erp1"]))
+    @example(gx=RectangularPsd(0.0, 9e9, 1.0),
+             gy=RectangularPsd(1e9, 6e9, 0.5), seed=5, trials=64, mode="rp1")
+    def test_polarization_swap_is_exact(self, gx, gy, seed, trials, mode):
+        cfg = self.cfg(num_trials=trials, seed=seed, mode=mode)
+        psd = DualPolPsd(gx, gy, 1e-3)
+        direct = estimate_nli_psd(cfg, psd, self.kernel, polarization="y")
+        swapped = estimate_nli_psd(cfg, psd.swapped(), self.kernel,
                                    polarization="x")
         np.testing.assert_array_equal(direct.mean, swapped.mean)
         np.testing.assert_array_equal(direct.stderr, swapped.stderr)

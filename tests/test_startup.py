@@ -19,9 +19,10 @@ import gnmodel
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
 
 # what setup (the CLI import, load_config, KernelModel) loaded, what an
-# in-process psd run loaded on top of it, and what a montecarlo run loaded
-# after that; numpy is imported before the first snapshot, so its own eager
-# imports (numpy.random on NumPy 1.x) do not count
+# in-process psd run loaded on top of it, what a montecarlo run loaded after
+# that, and how often those serial runs looked up the BLAS pool setter; numpy
+# is imported before the first snapshot, so its own eager imports
+# (numpy.random on NumPy 1.x) do not count
 PROBE = """
 import json, sys
 import numpy
@@ -38,7 +39,9 @@ psd = sorted(sys.modules)
 assert gnmodel.cli.run(["--config", sys.argv[1], "--output", sys.argv[3],
                         "montecarlo", "--trials", "4"]) == 0
 print(json.dumps({"setup": sorted(setup), "psd": psd,
-                  "montecarlo": sorted(sys.modules)}))
+                  "montecarlo": sorted(sys.modules),
+                  "blas_lookups":
+                      gnmodel.parallel._blas_threads.cache_info().misses}))
 """
 
 
@@ -64,6 +67,8 @@ def test_setup_loads_no_engine_it_does_not_run(tmp_path):
     after_mc = set(loaded["montecarlo"])
     assert {"gnmodel.montecarlo", "gnmodel.stats"} <= after_mc
     assert "gnmodel.moments" not in after_mc
+    # serial runs never look for the BLAS pool setter
+    assert loaded["blas_lookups"] == 0
 
 
 class TestNamespace:
@@ -81,8 +86,11 @@ class TestNamespace:
             assert scope[name] is getattr(gnmodel, name), name
 
     def test_every_submodule_is_an_attribute(self):
-        names = {m.name for m in pkgutil.iter_modules(gnmodel.__path__)}
+        # __main__ is the ``python -m gnmodel`` entry point, not a layer
+        names = {m.name for m in pkgutil.iter_modules(gnmodel.__path__)} \
+            - {"__main__"}
         assert names == set(gnmodel._SUBMODULES)
+        assert "__main__" not in dir(gnmodel)
         for name in names:
             assert getattr(gnmodel, name) is \
                 importlib.import_module(f"gnmodel.{name}"), name
