@@ -2,7 +2,8 @@
 
 Builds a single lossy span and a heterogeneous three-span link, then walks
 the kernel K(F) from the flat small-F regime into the heavily oscillatory
-tail, comparing the per-span closed form with adaptive Simpson quadrature.
+tail, comparing the per-span closed form with Richardson-extrapolated
+adaptive Simpson quadrature (Romberg's second column).
 
 Run:  python3 demos/demo_kernel.py
 """
