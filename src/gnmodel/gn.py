@@ -14,11 +14,24 @@ result of the swapped input (``DualPolPsd.swapped()``), which exchanges the
 polarization roles everywhere, including the phase coefficient
 (2 Phat_y + Phat_x)^2.
 
-The double integrals are evaluated by a uniform midpoint rule whose cells are
-aligned to the compact supports: f1 spans support(main) - f, f2 spans
-support(partner) - f, so the first two PSD factors are never sampled on a
-discontinuity and the domain truncation is exact.  |eta|^2 is taken at the
-cell-midpoint product f1*f2 through the closed-form kernel.
+The double integrals are evaluated by a uniform midpoint rule whose cells
+start at the compact supports: f1 covers support(main) - f and f2 covers
+support(partner) - f, so the domain truncation is exact.  The cell width
+follows the shape (``_cell_axis``):
+* a shape that jumps at its support ends (a rectangle, a ``TabulatedPsd``)
+  divides its support into a whole number of equal cells of at most the
+  step, so its own jumps fall on cell edges, never inside a cell.  The
+  third factor's jump still crosses cells, so on rectangles the rule is
+  first order;
+* a shape that meets 0 continuously, with a continuous slope, at its ends
+  (``PsdShape.continuous_at_ends``: a raised cosine with roll-off > 0)
+  takes cells of exactly the step, the last of which may reach past the
+  support end, where the shape is 0.  The integrand is then continuous
+  with a continuous slope across every cell, so the midpoint rule is
+  second order without aligning to the support, and output points a whole
+  number of steps apart share one lattice (below).
+|eta|^2 is taken at the cell-midpoint product f1*f2 through the closed-form
+kernel.
 
 The cell axes are built once per request, and |eta|^2 is evaluated once per
 *run* of output points rather than once per point.  Moving the output point
@@ -45,10 +58,11 @@ lattice coordinates and each point's own f1, f2; every other cell stays 0.
 The bits cannot change:
 * a skipped cell has third factor c == 0 at every point of its run, so its
   term a*b*c*w is +0 whatever w holds, and every sum keeps its bits;
-* eta of an array is elementwise (``normalized_kernel_grid``), so the cells
-  that are evaluated keep theirs.  When the axes are equal (every SPM run),
-  f1 f2 == f2 f1 exactly, so each row's interval starts no earlier than
-  the diagonal and the values are mirrored;
+* eta of an array is elementwise to the bit at any array length
+  (``normalized_kernel_grid``), so the cells that are evaluated keep
+  theirs.  When the axes are equal (every SPM run), f1 f2 == f2 f1
+  exactly, so each row's interval starts no earlier than the diagonal and
+  the values are mirrored;
 * the band is selected one row block of at most one point's grid at a
   time, so memory stays within a small multiple of the per-point
   integrand;
@@ -87,9 +101,11 @@ def phase_term_coefficient(px_hat: float, py_hat: float) -> float:
 class GnRequest:
     """One engine evaluation: input PSDs, kernel, grid and quadrature step.
 
-    ``inner_grid_step_hz`` is the target (f1, f2) cell size; each support is
-    divided into a whole number of cells of at most this size, and the step
-    must not exceed 1/16 of any nonzero support width.
+    ``inner_grid_step_hz`` is the (f1, f2) cell size: a support that jumps
+    at its ends is divided into a whole number of cells of at most this
+    size, one continuous at its ends is covered by cells of exactly this
+    size (see the module docstring).  The step must not exceed 1/16 of any
+    nonzero support width.
     """
 
     psd: DualPolPsd
@@ -150,18 +166,30 @@ _TABLE_GROWTH = 2
 _WHOLE_CELL_TOL = 1e-9
 
 
-def _cell_axis(shape: PsdShape, step: float):
-    """Support-aligned midpoint axis: (support start, cell width, midpoint
-    offsets (i + 1/2) h from the support start)."""
-    lo, hi = shape.support
-    cells = max(1, int(np.ceil((hi - lo) / step)))
-    h = (hi - lo) / cells
-    return lo, h, (np.arange(cells) + 0.5) * h
-
-
 def _whole_cells(shift: float, h: float):
     cells = round(shift / h)
     return cells if abs(shift / h - cells) <= _WHOLE_CELL_TOL else None
+
+
+def _cell_axis(shape: PsdShape, step: float):
+    """Midpoint axis from the support start: (support start, cell width h,
+    midpoint offsets (i + 1/2) h).
+
+    A shape that jumps at its support ends gets ceil(width/step) cells that
+    divide the support exactly.  A shape continuous at its ends gets cells
+    of exactly ``step``, the last of which may reach past the support end;
+    when the width is a whole number of steps (within _WHOLE_CELL_TOL) that
+    is the support-aligned axis of that many cells.
+    """
+    lo, hi = shape.support
+    cells = max(1, int(np.ceil((hi - lo) / step)))
+    if shape.continuous_at_ends:
+        whole = _whole_cells(hi - lo, step)
+        if whole is None:
+            return lo, step, (np.arange(cells) + 0.5) * step
+        cells = max(1, whole)
+    h = (hi - lo) / cells
+    return lo, h, (np.arange(cells) + 0.5) * h
 
 
 def _runs(grid: np.ndarray, axes) -> list:

@@ -131,6 +131,12 @@ def kernel_closed_form(model: KernelModel, F):
     over spans, where C_i and G_i are the profile values at the span start;
     the phase factor is skipped where C_i == 0, with the same bits (see the
     module docstring).
+
+    Each complex product whose right operand is a temporary is a
+    ``np.multiply`` call, not ``*``: from 256 KiB on, NumPy evaluates
+    ``a * <temporary>`` in place as ``<temporary> *= a``, and the swapped
+    complex product can round differently, so the bits would depend on the
+    array's length.
     """
     F = np.asarray(F, dtype=float)
     theta = PHASE_RATE * F
@@ -139,8 +145,8 @@ def kernel_closed_form(model: KernelModel, F):
         w = -model._alpha[i] + 1j * model._beta2[i] * theta
         amp = model._gamma_eff[i] * model._g0[i] * model._length[i]
         if model._c0[i] != 0.0:
-            amp = amp * np.exp(-1j * model._c0[i] * theta)
-        out += amp * _exp_ratio(w * model._length[i])
+            amp = np.multiply(amp, np.exp(-1j * model._c0[i] * theta))
+        out += np.multiply(amp, _exp_ratio(w * model._length[i]))
     return complex(out) if np.ndim(F) == 0 else out
 
 
@@ -262,9 +268,11 @@ def normalized_kernel_grid(model: KernelModel, F):
     """Vectorized eta over an array of F values, elementwise.
 
     No deduplication: each value depends on its own F only, not on its
-    position or on the other elements, so any split or reordering of F
-    gives the same bits; callers that know of repeated products (symmetric
-    tables, a ``model.flat`` link) evaluate them once themselves.  On a flat
+    position, on the other elements or on the array's length, so any split
+    or reordering of F gives the same bits (``kernel_closed_form`` fixes
+    the operand order of its complex products); callers that know of
+    repeated products (symmetric tables, a ``model.flat`` link) evaluate
+    them once themselves.  On a flat
     link every element is K(0)/K(0) as the division rounds it: 1+0j for most
     links, 1 - 2**-53 for some.
     """

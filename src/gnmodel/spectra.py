@@ -41,6 +41,13 @@ class PsdShape:
         """(f_min, f_max) outside which the shape vanishes."""
         raise NotImplementedError
 
+    @property
+    def continuous_at_ends(self) -> bool:
+        """True when the shape goes to 0 continuously, with a continuous
+        derivative, at both support ends; False for a shape that jumps or
+        is not known not to."""
+        return False
+
 
 @dataclass(frozen=True)
 class RaisedCosinePsd(PsdShape):
@@ -90,6 +97,12 @@ class RaisedCosinePsd(PsdShape):
     def support(self) -> tuple[float, float]:
         half = 0.5 * (1.0 + self.rolloff) * self.bandwidth_hz
         return (self.center_hz - half, self.center_hz + half)
+
+    @property
+    def continuous_at_ends(self) -> bool:
+        """The cosine roll-off meets 0 with zero slope; the rectangle
+        (roll-off 0) jumps."""
+        return self.rolloff > 0.0
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,19 @@ def brute_force_term(kernel, main, partner, third, f, step):
     """The same double integral assembled in absolute (a, b) coordinates.
 
     Independent of the engine's shifted (f1, f2) parameterization: axes are
-    absolute frequencies over the main/partner supports, the third slot is
-    evaluated at a + b - f and the kernel at (a - f)(b - f).
+    absolute frequencies from the main/partner support starts, the third
+    slot is evaluated at a + b - f and the kernel at (a - f)(b - f).  The
+    nodes follow the engine's rule: a raised cosine with roll-off > 0 takes
+    cells of the step itself, the last one reaching past its support end;
+    any other shape divides its support into ceil(width/step) equal cells.
     """
     def axis(shape):
         lo, hi = shape.support
         cells = max(1, math.ceil((hi - lo) / step))
-        h = (hi - lo) / cells
+        if isinstance(shape, RaisedCosinePsd) and shape.rolloff > 0:
+            h = step
+        else:
+            h = (hi - lo) / cells
         return lo + (np.arange(cells) + 0.5) * h, h
 
     a, ha = axis(main)
@@ -166,11 +172,12 @@ class TestIndependentReassembly:
     def test_mixed_whole_cell_and_fractional_shifts(self):
         # on the y rectangle's 0.25 GHz cells, the first run descends (negative
         # shifts), 0.13 GHz breaks it and starts a second; the raised cosine's
-        # 0.24375 GHz cells share no lattice with this grid, so its terms run
-        # point by point
+        # cells are the 0.25 GHz step too, so its whole-step points share the
+        # same lattice and run together the same way
         grid = np.array([0.0, -0.5e9, -1.0e9, 0.13e9, 0.38e9, 0.63e9, 1.0e9])
-        runs = _runs(grid, [_cell_axis(self.gy, self.step)] * 2)
-        assert [idx for idx, _, _ in runs] == [[0, 1, 2], [3, 4, 5], [6]]
+        for shape in (self.gy, self.gx):
+            runs = _runs(grid, [_cell_axis(shape, self.step)] * 2)
+            assert [idx for idx, _, _ in runs] == [[0, 1, 2], [3, 4, 5], [6]]
         self.assert_terms_match(y_polarization(self.request(grid)), self.gy,
                                 self.gx)
         self.assert_terms_match(nli_psd_x(self.request(grid)), self.gx, self.gy)
@@ -401,23 +408,72 @@ class TestPolarizationSwap:
                                           getattr(base, name))
 
 
+# criterion 1's 3-span link with raised-cosine spectra whose X support,
+# 30.8 GHz, is not a whole number of 250 MHz steps
+THREE_SPAN_RC_YAML = """
+link:
+  xi_pre_ps2: 3.0
+  spans:
+    - {length_km: 80.0, alpha_db_per_km: 0.2, beta2_ps2_per_km: -21.7,
+       gamma_per_w_km: 1.3, lumped_gain_db: 16.0}
+    - {length_km: 60.0, alpha_db_per_km: 0.25, beta2_ps2_per_km: 5.1,
+       gamma_per_w_km: 1.8, lumped_gain_db: 15.0}
+    - {length_km: 100.0, alpha_db_per_km: 0.18, beta2_ps2_per_km: -16.0,
+       gamma_per_w_km: 1.1, lumped_gain_db: 18.0}
+signal:
+  p0_w: 1.0e-3
+  x: {kind: raised_cosine, bandwidth_hz: 28.0e9, rolloff: 0.1, height: 1.0}
+  y: {kind: raised_cosine, bandwidth_hz: 20.0e9, rolloff: 0.2, height: 0.6}
+psd:
+  include_phase_term: true
+  inner_grid_step_hz: 2.5e8
+  output_min_hz: -20.0e9
+  output_max_hz: 20.0e9
+  output_points: 81
+"""
+
+
 class TestWorkCount:
-    """Kernel products that the |eta|^2 tables evaluate for ``psd`` on the
-    demo configuration: 133,583 when every cell was filled, 81,355 on the
-    band.  A fill that evaluates cells the integrand cannot reach fails."""
+    """Kernel products that the |eta|^2 tables evaluate for ``psd``, and
+    the tables they fill.  The demo configuration: 133,583 products when
+    every cell was filled, 81,355 on the band; a fill that evaluates cells
+    the integrand cannot reach fails.  The 3-span raised-cosine request:
+    162 one-point tables and 891,693 products on support-aligned cells of
+    248.4 MHz, 8 tables and 87,758 products on cells of the 250 MHz step;
+    an axis whose cells the 0.5 GHz output spacing does not divide fails."""
 
     DEMO_PSD_PRODUCTS = 81_355
+    RC_PSD_PRODUCTS = 87_758
+    RC_PSD_TABLES = 8
 
-    def test_demo_psd_evaluates_only_the_band(self, tmp_path):
-        counted = []
+    def count_psd(self, config, tmp_path):
+        """(products, tables) of one ``psd`` run of the config."""
+        counted, tables = [], []
 
         def counting(kernel, F):
             counted.append(np.size(F))
             return normalized_kernel_grid(kernel, F)
 
-        config = Path(__file__).resolve().parent.parent / "demos" \
-            / "single_span.yaml"
-        with mock.patch.object(gn, "normalized_kernel_grid", counting):
+        def counting_table(*args):
+            tables.append(args)
+            return eta2_table(*args)
+
+        eta2_table = gn._eta2_table
+        with mock.patch.object(gn, "normalized_kernel_grid", counting), \
+                mock.patch.object(gn, "_eta2_table", counting_table):
             assert run(["--config", str(config), "--output",
                         str(tmp_path / "psd.csv"), "psd"]) == 0
-        assert 0 < sum(counted) <= self.DEMO_PSD_PRODUCTS
+        return sum(counted), len(tables)
+
+    def test_demo_psd_evaluates_only_the_band(self, tmp_path):
+        config = Path(__file__).resolve().parent.parent / "demos" \
+            / "single_span.yaml"
+        products, _ = self.count_psd(config, tmp_path)
+        assert 0 < products <= self.DEMO_PSD_PRODUCTS
+
+    def test_raised_cosine_points_share_tables(self, tmp_path):
+        config = tmp_path / "three_span_rc.yaml"
+        config.write_text(THREE_SPAN_RC_YAML)
+        products, tables = self.count_psd(config, tmp_path)
+        assert 0 < products <= self.RC_PSD_PRODUCTS
+        assert 0 < tables <= self.RC_PSD_TABLES

@@ -319,6 +319,18 @@ class TestGridBitContract:
         assert np.array_equal(_bits(chunks), _bits(whole))
         assert np.array_equal(_bits(reverse), _bits(whole))
 
+    def test_large_array_equals_its_pieces(self):
+        # from 16,384 complex values on, NumPy evaluates `a * <temporary>`
+        # in place as `<temporary> *= a`, and the swapped complex product
+        # rounds differently; criterion 1's link keeps a complex amplitude
+        # on every span, so each product must name its operand order
+        model = multi_span_model()
+        F = np.random.default_rng(20000).uniform(-3e20, 3e20, 20_000)
+        whole = normalized_kernel_grid(model, F)
+        pieces = np.concatenate([normalized_kernel_grid(model, F[i:i + 1000])
+                                 for i in range(0, F.size, 1000)])
+        assert np.array_equal(_bits(pieces), _bits(whole))
+
     @BIT_CONTRACT
     @given(lat=hnp.arrays(float, st.integers(1, 40),
                           elements=st.floats(-4e10, 4e10)),
