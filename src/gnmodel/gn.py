@@ -39,25 +39,41 @@ by a whole number of cells on both axes only slides the (f1, f2) midpoints
 along one lattice, so consecutive grid points whose shifts from the run's
 first point are whole numbers of cells (within 1e-9 of a cell width) share
 one |eta|^2 table on that lattice, and each point sums over its n1 x n2
-slice of it.  The PSD factors are still sampled at each point's own
-coordinates f + f1, f + f2 and f + f1 + f2.  A run stops growing before its
-table would exceed twice one point's n1*n2 grid.  A point at a fractional
-shift from the current run's first point starts a new run; a point that
-shares no lattice with a neighbour is a run of one, whose table is its own
-grid.  Runs are the unit of work of the thread pool, so results do not
-depend on the thread count.
+window of it.  A run stops growing before its table would exceed twice one
+point's n1*n2 grid.  A point at a fractional shift from the current run's
+first point starts a new run; a point that shares no lattice with a
+neighbour is a run of one, whose table is its own grid.  Runs are the unit
+of work of the thread pool, so results do not depend on the thread count.
 
-A run's table is filled only where the integrand can be nonzero.  The third
-factor Ghat(f + f1 + f2) is exactly 0 outside its support (lo3, hi3), so a
-cell whose f1 + f2 lies outside [lo3 - max f, hi3 - min f] over the run's
-points contributes nothing at any of them: for rectangular spectra this
-band is the GN model's lozenge-shaped domain.  Each row of the table keeps
-the one interval of columns (lat2 is increasing) whose lat1 + lat2 lies in
-that range widened by one cell, which absorbs the rounding between the
-lattice coordinates and each point's own f1, f2; every other cell stays 0.
-The bits cannot change:
-* a skipped cell has third factor c == 0 at every point of its run, so its
-  term a*b*c*w is +0 whatever w holds, and every sum keeps its bits;
+The PSD factors are sampled once per term or run, not once per point:
+* f + f1 = lo1 + (i + 1/2) h1 does not depend on f, so main and partner are
+  evaluated once per term on their axes' midpoints;
+* when both axes have the same cell width h (every SPM run, and XPolM when
+  both shapes get the same width), cell (i, j) of the point shifted by s
+  cells from the run's first point f0 sits at f + f1 + f2 = lo1 + lo2 - f0
+  + (i + j + 1 - s) h.  The third factor is evaluated once per run on those
+  n1 + n2 - 1 + (max s - min s) anti-diagonal values, and each point reads
+  its n1 x n2 third factor as a zero-copy Hankel view of that vector
+  (``sliding_window_view``);
+* when the widths differ, the third factor is evaluated at each point's own
+  f + f1 + f2.
+Each point's sum a @ ((c * w) @ b), with a and b the main and partner
+vectors, c the third factor and w the |eta|^2 window, is one n1 x n2
+multiply and a matrix-vector product.
+
+A run's table is filled only where the integrand can be nonzero and some
+point reads it.  The third factor Ghat(f + f1 + f2) is exactly 0 outside its
+support (lo3, hi3), so a cell whose f1 + f2 lies outside [lo3 - max f,
+hi3 - min f] over the run's points contributes nothing at any of them: for
+rectangular spectra this band is the GN model's lozenge-shaped domain.
+Each row of the table keeps the one interval of columns (lat2 is
+increasing) whose lat1 + lat2 lies in that range widened by one cell, which
+absorbs the rounding between the lattice coordinates and the third factor's
+own, cut to the hull of the columns that the points' windows read in that
+row; every other cell stays 0.  The bits cannot change:
+* a skipped cell that some point reads has third factor c == 0 there, so
+  its product c*w is +0 whatever w holds, and every sum keeps its bits; a
+  cell that no point reads is never multiplied;
 * eta of an array is elementwise to the bit at any array length
   (``normalized_kernel_grid``), so the cells that are evaluated keep
   theirs.  When the axes are equal (every SPM run), f1 f2 == f2 f1
@@ -74,6 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import KernelModel, normalized_kernel_grid
 from .parallel import ordered_map
@@ -221,18 +238,16 @@ def _runs(grid: np.ndarray, axes) -> list:
     return runs
 
 
-def _eta2_table(kernel, lat1, lat2, low, high, block_size):
-    """|eta(f1 f2)|^2 on the lattice lat1 x lat2 where low <= lat1 + lat2 <=
-    high, 0 elsewhere, filled as the module docstring describes: broadcast
-    constant, or per-row column intervals in row blocks of at most
-    ``block_size`` cells, mirrored when the axes are equal."""
+def _eta2_table(kernel, lat1, lat2, start, stop, block_size):
+    """|eta(f1 f2)|^2 on the lattice lat1 x lat2 in the columns [start[r],
+    stop[r]) of each row r, 0 elsewhere, filled as the module docstring
+    describes: broadcast constant, or per-row column intervals in row blocks
+    of at most ``block_size`` cells, mirrored when the axes are equal."""
     shape = (lat1.size, lat2.size)
     if kernel.flat:
         eta = normalized_kernel_grid(kernel, lat1[:1] * lat2[:1])
         return np.broadcast_to(eta.real**2 + eta.imag**2, shape)
     symmetric = np.array_equal(lat1, lat2)
-    start = np.searchsorted(lat2, low - lat1, side="left")
-    stop = np.searchsorted(lat2, high - lat1, side="right")
     if symmetric:
         start = np.maximum(start, np.arange(lat1.size))
     table = np.zeros(shape)
@@ -249,35 +264,59 @@ def _eta2_table(kernel, lat1, lat2, low, high, block_size):
     return table
 
 
-def _integrate_run(kernel, shapes, axes, grid, run) -> np.ndarray:
+def _read_columns(first1, first2, n1, n2, rows):
+    """Per table row, the hull [start, stop) of the columns that the n1 x n2
+    windows at (first1, first2) read in it; an empty interval for a row that
+    no window reads."""
+    row = np.arange(rows)[:, None]
+    inside = (first1 <= row) & (row < first1 + n1)
+    return (np.where(inside, first2, first2.max()).min(axis=1),
+            np.where(inside, first2 + n2, 0).max(axis=1))
+
+
+def _integrate_run(kernel, third, axes, factors, grid, run) -> np.ndarray:
     """II |eta(f1 f2)|^2 main(f+f1) partner(f+f2) third(f+f1+f2) df1 df2 at
-    every point f of one run, from one |eta|^2 table on the run's lattice."""
-    main, partner, third = shapes
+    every point f of one run, from one |eta|^2 table on the run's lattice;
+    ``factors`` holds main and partner on their axes' midpoints."""
     (lo1, h1, off1), (lo2, h2, off2) = axes
+    a, b = factors
     idx, s1, s2 = run
     n1, n2 = off1.size, off2.size
     f0 = float(grid[idx[0]])
     top1, top2 = max(s1), max(s2)
-    # lattice coordinates relative to the first point: cell (i, j) of the
-    # point shifted by (c1, c2) cells sits at (top1 - c1 + i, top2 - c2 + j)
+    # lattice coordinates relative to the first point: the window of the
+    # point shifted by (c1, c2) cells starts at row top1 - c1, column top2 - c2
+    first1, first2 = top1 - np.array(s1), top2 - np.array(s2)
     lat1 = (lo1 - f0) + (np.arange(n1 + top1 - min(s1)) + 0.5 - top1) * h1
     lat2 = (lo2 - f0) + (np.arange(n2 + top2 - min(s2)) + 0.5 - top2) * h2
-    # f + f1 + f2 of any point lies within [lo3, hi3] only on this band
+    # f + f1 + f2 of any point lies within [lo3, hi3] only on this band, and
+    # of its columns a row needs only those that some point's window reads
     lo3, hi3 = third.support
     points = grid[idx]
     margin = max(h1, h2)
-    table = _eta2_table(kernel, lat1, lat2, lo3 - points.max() - margin,
-                        hi3 - points.min() + margin, n1 * n2)
+    start, stop = _read_columns(first1, first2, n1, n2, lat1.size)
+    start = np.maximum(start, np.searchsorted(
+        lat2, lo3 - points.max() - margin - lat1, side="left"))
+    stop = np.minimum(stop, np.searchsorted(
+        lat2, hi3 - points.min() + margin - lat1, side="right"))
+    table = _eta2_table(kernel, lat1, lat2, start, stop, n1 * n2)
+    if h1 == h2:
+        # cell (i, j) of the point shifted by c cells sits at f + f1 + f2 =
+        # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals, read
+        # by each point through a Hankel view
+        diagonals = np.arange(n1 + n2 - 1 + top1 - min(s1)) + 1 - top1
+        hankel = sliding_window_view(
+            third.evaluate((lo1 + lo2 - f0) + diagonals * h1), n2)
     values = np.empty(len(idx))
-    for j, (k, c1, c2) in enumerate(zip(idx, s1, s2)):
-        f = float(grid[k])
-        f1 = (lo1 - f) + off1
-        f2 = (lo2 - f) + off2
-        a = main.evaluate(f + f1)
-        b = partner.evaluate(f + f2)
-        c = third.evaluate(f + f1[:, None] + f2[None, :])
-        weight = table[top1 - c1:top1 - c1 + n1, top2 - c2:top2 - c2 + n2]
-        values[j] = h1 * h2 * np.sum(a[:, None] * b[None, :] * c * weight)
+    for j, (k, r, c) in enumerate(zip(idx, first1, first2)):
+        if h1 == h2:
+            third_factor = hankel[r:r + n1]
+        else:
+            f = float(grid[k])
+            third_factor = third.evaluate(
+                f + ((lo1 - f) + off1)[:, None] + ((lo2 - f) + off2))
+        weight = table[r:r + n1, c:c + n2]
+        values[j] = h1 * h2 * (a @ ((third_factor * weight) @ b))
     return values
 
 
@@ -295,11 +334,14 @@ def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
             continue
         axes = tuple(_cell_axis(shape, req.inner_grid_step_hz)
                      for shape in shapes[:2])
-        tasks += [(out, scale, shapes, axes, run) for run in _runs(grid, axes)]
+        factors = tuple(shape.evaluate(lo + off)
+                        for shape, (lo, _, off) in zip(shapes, axes))
+        tasks += [(out, scale, shapes[2], axes, factors, run)
+                  for run in _runs(grid, axes)]
 
     def compute(task):
-        out, scale, shapes, axes, run = task
-        out[run[0]] = scale * _integrate_run(req.kernel, shapes, axes, grid, run)
+        out, scale, *term, run = task
+        out[run[0]] = scale * _integrate_run(req.kernel, *term, grid, run)
 
     ordered_map(compute, tasks, threads)
 

@@ -1,5 +1,8 @@
 """GN engine: phase identity, analytic oracle, independent reassembly."""
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pool_env
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
                      RaisedCosinePsd, RectangularPsd, Span, TabulatedPsd,
                      TrialConfig, estimate_nli_psd, gn, nli_psd_x,
@@ -257,10 +261,10 @@ class TestEngineContracts:
             self.request(inner_grid_step_hz=0.0)
 
 
-def deduplicated_row_block_table(kernel, lat1, lat2, low, high, block_size):
+def deduplicated_row_block_table(kernel, lat1, lat2, start, stop, block_size):
     """The |eta|^2 table fill the engine replaced: row blocks of at most
     ``block_size`` elements, each deduplicated through ``np.unique``, with
-    no band (``low`` and ``high`` are not read), no triangle and no
+    no band (``start`` and ``stop`` are not read), no triangle and no
     dispersion-free shortcut."""
     table = np.empty((lat1.size, lat2.size))
     block = max(1, block_size // lat2.size)
@@ -334,12 +338,14 @@ class TestTableFillBitContract:
     def test_unevaluated_cells_have_zero_third_factor(self, req):
         # eta is replaced by ones, so a table cell reads 1 where the fill
         # evaluated it and 0 where it left it; each run's points then
-        # evaluate their third factor exactly as _integrate_run does
+        # evaluate their third factor exactly as _integrate_run does: on
+        # the run's anti-diagonals when both cell widths are equal, else at
+        # the point's own f + f1 + f2
         runs, tables = [], []
 
-        def recording_run(kernel, shapes, axes, grid, run):
-            runs.append((shapes, axes, grid, run))
-            return integrate_run(kernel, shapes, axes, grid, run)
+        def recording_run(kernel, third, axes, factors, grid, run):
+            runs.append((third, axes, grid, run))
+            return integrate_run(kernel, third, axes, factors, grid, run)
 
         def recording_table(*args):
             tables.append(eta2_table(*args))
@@ -352,16 +358,20 @@ class TestTableFillBitContract:
                                   lambda kernel, F: np.ones(F.shape)):
             nli_psd_x(req)
         assert len(runs) == len(tables) > 0
-        for (shapes, axes, grid, run), table in zip(runs, tables):
-            third = shapes[2]
-            (lo1, _, off1), (lo2, _, off2) = axes
+        for (third, axes, grid, run), table in zip(runs, tables):
+            (lo1, h1, off1), (lo2, h2, off2) = axes
             idx, s1, s2 = run
             top1, top2 = max(s1), max(s2)
+            f0 = float(grid[idx[0]])
             for k, c1, c2 in zip(idx, s1, s2):
-                f = float(grid[k])
-                f1 = (lo1 - f) + off1
-                f2 = (lo2 - f) + off2
-                c = third.evaluate(f + f1[:, None] + f2[None, :])
+                if h1 == h2:
+                    diagonal = np.arange(off1.size)[:, None] \
+                        + np.arange(off2.size) + 1 - c1
+                    c = third.evaluate((lo1 + lo2 - f0) + diagonal * h1)
+                else:
+                    f = float(grid[k])
+                    c = third.evaluate(f + ((lo1 - f) + off1)[:, None]
+                                       + ((lo2 - f) + off2))
                 window = table[top1 - c1:top1 - c1 + off1.size,
                                top2 - c2:top2 - c2 + off2.size]
                 assert np.all(c[window == 0] == 0)
@@ -434,16 +444,19 @@ psd:
 
 
 class TestWorkCount:
-    """Kernel products that the |eta|^2 tables evaluate for ``psd``, and
-    the tables they fill.  The demo configuration: 133,583 products when
-    every cell was filled, 81,355 on the band; a fill that evaluates cells
-    the integrand cannot reach fails.  The 3-span raised-cosine request:
-    162 one-point tables and 891,693 products on support-aligned cells of
-    248.4 MHz, 8 tables and 87,758 products on cells of the 250 MHz step;
-    an axis whose cells the 0.5 GHz output spacing does not divide fails."""
+    """Kernel products that the |eta|^2 tables evaluate for ``psd``, the
+    tables they fill, and the PSD values each run evaluates.  The demo
+    configuration: 133,583 products when every cell was filled, 81,355 on
+    the band, 72,890 on the band cells that some point's window reads; a
+    fill that evaluates cells no point reads fails.  The 3-span
+    raised-cosine request: 162 one-point tables and 891,693 products on
+    support-aligned cells of 248.4 MHz, 8 tables and 87,758 products on
+    cells of the 250 MHz step, 78,465 on the read band cells; an axis whose
+    cells the 0.5 GHz output spacing does not divide fails."""
 
-    DEMO_PSD_PRODUCTS = 81_355
-    RC_PSD_PRODUCTS = 87_758
+    DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
+    DEMO_PSD_PRODUCTS = 72_890
+    RC_PSD_PRODUCTS = 78_465
     RC_PSD_TABLES = 8
 
     def count_psd(self, config, tmp_path):
@@ -466,9 +479,7 @@ class TestWorkCount:
         return sum(counted), len(tables)
 
     def test_demo_psd_evaluates_only_the_band(self, tmp_path):
-        config = Path(__file__).resolve().parent.parent / "demos" \
-            / "single_span.yaml"
-        products, _ = self.count_psd(config, tmp_path)
+        products, _ = self.count_psd(self.DEMO, tmp_path)
         assert 0 < products <= self.DEMO_PSD_PRODUCTS
 
     def test_raised_cosine_points_share_tables(self, tmp_path):
@@ -477,3 +488,132 @@ class TestWorkCount:
         products, tables = self.count_psd(config, tmp_path)
         assert 0 < products <= self.RC_PSD_PRODUCTS
         assert 0 < tables <= self.RC_PSD_TABLES
+
+    def test_third_factor_is_evaluated_once_per_run(self, tmp_path):
+        # the demo's cells are 250 MHz on both axes, so inside a run the
+        # only PSD evaluation is the third factor's, on the run's n1 + n2 -
+        # 1 + spread anti-diagonals; point by point it took n1*n2 per point
+        bounds, counts, active = [], [], []
+
+        def recording_run(kernel, third, axes, factors, grid, run):
+            (_, _, off1), (_, _, off2) = axes
+            bounds.append(off1.size + off2.size - 1 + max(run[1]) - min(run[1]))
+            counts.append(0)
+            active.append(run)
+            try:
+                return integrate_run(kernel, third, axes, factors, grid, run)
+            finally:
+                active.pop()
+
+        def counting_evaluate(shape, f):
+            if active:
+                counts[-1] += np.size(f)
+            return evaluate(shape, f)
+
+        integrate_run, evaluate = gn._integrate_run, RaisedCosinePsd.evaluate
+        with mock.patch.object(gn, "_integrate_run", recording_run), \
+                mock.patch.object(RaisedCosinePsd, "evaluate",
+                                  counting_evaluate):
+            assert run(["--config", str(self.DEMO), "--output",
+                        str(tmp_path / "psd.csv"), "psd"]) == 0
+        assert len(counts) > 0
+        assert all(0 < count <= bound for count, bound in zip(counts, bounds))
+
+
+def per_element_term(kernel, shapes, axes, f):
+    """One GN term at f as the engine summed it point by point before the
+    anti-diagonal layout: every factor at the point's own coordinates,
+    |eta|^2 at the same midpoint products, one element-wise sum."""
+    main, partner, third = shapes
+    (lo1, h1, off1), (lo2, h2, off2) = axes
+    f1 = (lo1 - f) + off1
+    f2 = (lo2 - f) + off2
+    eta = normalized_kernel_grid(kernel, f1[:, None] * f2)
+    return h1 * h2 * np.sum(main.evaluate(f + f1)[:, None]
+                            * partner.evaluate(f + f2)[None, :]
+                            * third.evaluate(f + f1[:, None] + f2[None, :])
+                            * (eta.real**2 + eta.imag**2))
+
+
+class TestUnequalCellWidths:
+    """X rectangular 30.8 GHz takes 124 support-aligned cells of 248.4 MHz
+    and Y rectangular 21 GHz 84 cells of the 250 MHz step, so XPolM's axes
+    have different widths and its third factor is taken at each point's own
+    f + f1 + f2; no two points of the 0.5 GHz grid share an X lattice, so
+    each of the 162 runs is one point.  SPM's axes are equal, so its third
+    factor is taken on anti-diagonals; at f = 0 the 62nd of them lies on
+    the X support's lower edge in exact arithmetic, where the anti-diagonal
+    value is 0, as the strict edge test gives, while the point's own sums
+    round 10 of its cells inside.  SPM is compared off that edge only."""
+
+    def test_engine_matches_per_element_reassembly(self):
+        kernel = KernelModel(link=LINKS["three"])
+        gx = RectangularPsd(0.0, 30.8e9, 1.0)
+        gy = RectangularPsd(0.0, 21e9, 0.6)
+        step = 0.25e9
+        grid = np.linspace(-20e9, 20e9, 81)
+        axes = (_cell_axis(gx, step), _cell_axis(gy, step))
+        assert axes[0][1] != axes[1][1]
+        assert len(_runs(grid, (axes[0], axes[0]))) == len(_runs(grid, axes)) \
+            == grid.size
+        result = nli_psd_x(GnRequest(psd=DualPolPsd(gx, gy, 1e-3),
+                                     kernel=kernel, output_grid_hz=grid,
+                                     inner_grid_step_hz=step))
+        for i, f in enumerate(grid):
+            spm = 2.0 * per_element_term(kernel, (gx, gx, gx),
+                                         (axes[0], axes[0]), f)
+            xpolm = per_element_term(kernel, (gx, gy, gy), axes, f)
+            assert result.xpolm[i] == pytest.approx(xpolm, rel=1e-13, abs=0.0)
+            if f != 0.0:
+                assert result.spm[i] == pytest.approx(spm, rel=1e-13, abs=0.0)
+
+
+# criterion 2's zero-dispersion request on 1024 cells of 31.25 MHz, the
+# largest per-point sum of any test
+ZERO_DISPERSION_YAML = """
+link:
+  spans:
+    - {length_km: 80.0, alpha_db_per_km: 0.2, beta2_ps2_per_km: 0.0,
+       gamma_per_w_km: 1.3}
+signal:
+  p0_w: 1.0e-3
+  x: {kind: rectangular, bandwidth_hz: 32.0e9, height: 1.3}
+  y: {kind: none}
+psd:
+  include_phase_term: false
+  inner_grid_step_hz: 3.125e7
+  output_min_hz: 0.0
+  output_max_hz: 1.0e9
+  output_points: 2
+"""
+
+# psd of each configuration argv[3:] at --threads argv[1], written to
+# argv[2] + ".<k>.csv" for the k-th configuration
+PSD_SCRIPT = textwrap.dedent("""
+    import sys
+    from gnmodel.cli import run
+    threads, out, *configs = sys.argv[1:]
+    for k, config in enumerate(configs):
+        assert run(["--config", config, "--output", f"{out}.{k}.csv",
+                    "--threads", threads, "psd"]) == 0
+""")
+
+
+def test_psd_bits_do_not_depend_on_threads_or_blas_pool(tmp_path):
+    # each point's sum is a GEMV, which a BLAS pool of 2 may split between
+    # BLAS threads in a serial run; the worker pool pins BLAS to one
+    configs = []
+    for name, text in (("zero_dispersion", ZERO_DISPERSION_YAML),
+                       ("three_span_rc", THREE_SPAN_RC_YAML)):
+        configs.append(tmp_path / f"{name}.yaml")
+        configs[-1].write_text(text)
+    outputs = {}
+    for threads in (1, 2, 4):
+        for blas in (1, 2):
+            out = tmp_path / f"t{threads}-blas{blas}"
+            subprocess.run([sys.executable, "-c", PSD_SCRIPT, str(threads),
+                            str(out), *map(str, configs)],
+                           env=pool_env(blas), check=True, timeout=120)
+            outputs[threads, blas] = [Path(f"{out}.{k}.csv").read_bytes()
+                                      for k in range(len(configs))]
+    assert all(files == outputs[1, 1] for files in outputs.values())

@@ -5,7 +5,6 @@ interpreter whose pool the environment sets to two threads, as is the
 moment lab's bit contract across thread counts and BLAS pools.
 """
 import json
-import os
 import subprocess
 import sys
 import textwrap
@@ -14,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-import gnmodel
+from conftest import pool_env
 from gnmodel import parallel
 from gnmodel.parallel import ordered_map
 
@@ -60,15 +59,6 @@ MOMENTS_SCRIPT = textwrap.dedent("""
                     f"{out}.{theorem[0]}.csv", "--threads", threads,
                     "moments", "--theorem", *theorem, "--trials", "2000"]) == 0
 """)
-
-
-def pool_env(blas: int) -> dict:
-    """This environment with a BLAS pool of ``blas`` and gnmodel importable."""
-    src = os.path.dirname(os.path.dirname(gnmodel.__file__))
-    return {**os.environ, "OPENBLAS_NUM_THREADS": str(blas),
-            "OMP_NUM_THREADS": str(blas),
-            "PYTHONPATH": os.pathsep.join(
-                filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 class TestOrderedMap:
