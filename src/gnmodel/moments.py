@@ -17,14 +17,15 @@ Three layers, each checked two independent ways (formula vs sampling):
 All statistical comparisons use a fixed 4-standard-error threshold with
 pre-registered trial counts.
 
-Sampling rule: draw everything, contract only the rows that are read.  Each
-check draws its white sources for every distinct bin it touches, from its own
-Philox stream, whether or not a process reads them, so the draws never depend
-on which rows a check asks for.  Only the (process, slot) rows the check's
-product reads are then filtered, each by the same einsum on its one-process,
-one-bin slice.  Every check and every theorem-2 ensemble has its own seed, so
-the ``threads`` argument only decides where the checks run, never what they
-return.
+Sampling rule: one engine for all three theorems.  Every sampled moment is
+``mc_moment`` on a ``GaussianEnsemble`` and every exact value is ``cgmt_sum``
+on the same ensemble.  Theorems 1 and 3 take as their ensemble the spectral
+lines a check reads (``StationaryProcessSet.lines``): one row per distinct
+(process, bin) line, read by every slot that holds it, over the white sources
+at each distinct bin the check touches.  Each check draws those sources from
+its own Philox stream whichever processes read them.  Every check and every
+theorem-2 ensemble has its own seed, so the ``threads`` argument only decides
+where the checks run, never what they return.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import ConfigError
 from .parallel import ordered_map
 from .rng import complex_normals, moment_stream
-from .stats import abs_z_score
+from .stats import abs_z_score, mean_stderr
 
 __all__ = [
     "GaussianEnsemble",
@@ -138,19 +139,6 @@ class MomentSpec:
         return len(self.conjugated)
 
 
-def _pairing_sum(cov: np.ndarray, spec: MomentSpec) -> complex:
-    """Permutation sum over pairings given a raw covariance matrix."""
-    k = spec.order
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(k)):
-        term = 1.0 + 0.0j
-        for slot, c_idx in enumerate(spec.conjugated):
-            # E[U_c^* U_u] = cov[u, c] for cov[i, j] = E[U_i U_j^*]
-            term *= cov[spec.unconjugated[perm[slot]], c_idx]
-        total += term
-    return total
-
-
 def cgmt_sum(ensemble: GaussianEnsemble, spec: MomentSpec) -> complex:
     """Exact 2k-th moment via the k!-term permutation sum.
 
@@ -159,10 +147,17 @@ def cgmt_sum(ensemble: GaussianEnsemble, spec: MomentSpec) -> complex:
     if spec.order > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order {spec.order} exceeds the permutation "
                          f"budget (k <= {MAX_MOMENT_ORDER})")
-    dim = ensemble.dimension
-    if max(max(spec.conjugated), max(spec.unconjugated)) >= dim:
+    if max(max(spec.conjugated), max(spec.unconjugated)) >= ensemble.dimension:
         raise ValueError("spec references components outside the ensemble")
-    return _pairing_sum(ensemble.covariance, spec)
+    cov = ensemble.covariance
+    total = 0.0 + 0.0j
+    for perm in itertools.permutations(range(spec.order)):
+        term = 1.0 + 0.0j
+        for slot, c_idx in enumerate(spec.conjugated):
+            # E[U_c^* U_u] = cov[u, c] for cov[i, j] = E[U_i U_j^*]
+            term *= cov[spec.unconjugated[perm[slot]], c_idx]
+        total += term
+    return total
 
 
 def mc_moment(ensemble: GaussianEnsemble, spec: MomentSpec,
@@ -175,9 +170,11 @@ def mc_moment(ensemble: GaussianEnsemble, spec: MomentSpec,
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     u = ensemble.sample(trials, seed)
-    return _mean_stderr(_slot_product(itertools.chain(
+    prod = _slot_product(itertools.chain(
         (np.conj(u[c_idx]) for c_idx in spec.conjugated),
-        (u[u_idx] for u_idx in spec.unconjugated))))
+        (u[u_idx] for u_idx in spec.unconjugated)))
+    (re, re_err), (im, im_err) = mean_stderr(prod.real), mean_stderr(prod.imag)
+    return complex(re, im), complex(re_err, im_err)
 
 
 def _slot_product(factors) -> np.ndarray:
@@ -190,14 +187,6 @@ def _slot_product(factors) -> np.ndarray:
     for factor in factors:
         prod *= factor
     return prod
-
-
-def _mean_stderr(prod: np.ndarray) -> tuple[complex, complex]:
-    """Sample mean of ``prod`` and its real/imaginary standard errors packed
-    as one complex number."""
-    scale = 1.0 / math.sqrt(prod.size)
-    return complex(prod.mean()), complex(np.std(prod.real, ddof=1) * scale,
-                                         np.std(prod.imag, ddof=1) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +265,27 @@ class StationaryProcessSet:
         """Cross-spectral density G_pq over all bins."""
         return np.einsum("sn,sn->n", self.filters[p], np.conj(self.filters[q]))
 
-    def sample_at(self, bins, rows, trials: int, seed: int) -> np.ndarray:
-        """(len(rows), trials) spectral-line draws, one row per (process,
-        slot) pair of ``rows``: X_process at ``bins[slot]``.
+    def lines(self, pattern, bins) -> tuple[GaussianEnsemble, list[int]]:
+        """The spectral lines X_pattern[i](bins[i]) as a ``GaussianEnsemble``,
+        and the ensemble row each slot i reads.
 
-        Bins are taken mod N.  The white sources are drawn at every distinct
-        bin, whichever rows are asked for, and repeated bins reuse the same
-        draws, as they must (the same spectral line cannot be redrawn).  Only
-        the requested rows are contracted.
+        Bins are taken mod N.  There is one row per distinct (process, bin)
+        line, so a repeated line is one row read by several slots (the same
+        spectral line cannot be redrawn).  The columns are the white sources
+        at each distinct bin, source-major: column s*U + u is w_s at the u-th
+        distinct bin, so a sample draws the same normals, shaped (sources, U,
+        trials), whichever processes read them.
         """
         bins = np.mod(np.asarray(bins, dtype=int), self.grid_size)
-        uniq, inverse = np.unique(bins, return_inverse=True)
-        w = _normals(seed, self.filters.shape[1], uniq.size, trials)
-
-        def row(p, slot):
-            u = inverse[slot]
-            b = uniq[u]
-            return np.einsum("psu,sut->put", self.filters[p:p + 1, :, b:b + 1],
-                             w[:, u:u + 1, :])[0, 0]
-
-        return np.stack([row(p, slot) for p, slot in rows])
+        uniq, at = np.unique(bins, return_inverse=True)
+        slots = list(zip(map(int, pattern), at.tolist()))
+        distinct = list(dict.fromkeys(slots))
+        factor = np.zeros((len(distinct), self.filters.shape[1], uniq.size),
+                          dtype=complex)
+        for row, (p, u) in enumerate(distinct):
+            factor[row, :, u] = self.filters[p, :, uniq[u]]
+        return (GaussianEnsemble(factor=factor.reshape(len(distinct), -1)),
+                [distinct.index(slot) for slot in slots])
 
     @classmethod
     def random(cls, num_processes: int, num_sources: int, grid_size: int,
@@ -352,53 +342,56 @@ def _six_term_formula(spectrum, n: int, pattern, f: int, u: int,
     return total
 
 
-def _slot_bins(f: int, u: int, offsets, n_grid: int):
+def _slot_bins(f: int, u: int, offsets):
     f1, f2, f3, f4 = offsets
-    return np.mod(np.array([f + f1, f + f1 + f2, f + f2,
-                            u + f3, u + f3 + f4, u + f4]), n_grid)
+    return (f + f1, f + f1 + f2, f + f2, u + f3, u + f3 + f4, u + f4)
 
 
-def _pairing_reference(spectrum, pattern, bins) -> complex:
-    """Independent exact value of ``_line_moment``'s E[S0 S1* S2 S3* ...]:
-    the CGMT pairing sum on the slot variables."""
-    n = len(pattern)
-    cov = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if bins[i] == bins[j]:
-                cov[i, j] = spectrum(pattern[i], pattern[j])[bins[i]]
-    spec = MomentSpec(conjugated=tuple(range(1, n, 2)),
-                      unconjugated=tuple(range(0, n, 2)))
-    return _pairing_sum(cov, spec)
-
-
-def _line_moment(procs, pattern, bins, trials, seed):
-    """MC estimate of E[S0 S1* S2 S3* ...]: slot i holds process pattern[i]
-    at bins[i], odd slots conjugated (two slots for Theorem 1, six for 3)."""
-    s = procs.sample_at(bins, [(p, i) for i, p in enumerate(pattern)],
-                        trials, seed)
-    return _mean_stderr(_slot_product(
-        np.conj(row) if i % 2 else row for i, row in enumerate(s)))
+def _line_check(name, procs, pattern, bins, expected, trials, seed):
+    """Score E[S0 S1* S2 S3* ...], slot i holding process pattern[i] at
+    bins[i] (two slots for Theorem 1, six for 3), sampled by ``mc_moment``
+    on the check's line ensemble, against the theorem's ``expected``; CGMT
+    on the same ensemble gives the formula gap."""
+    ensemble, rows = procs.lines(pattern, bins)
+    spec = MomentSpec(conjugated=tuple(rows[1::2]),
+                      unconjugated=tuple(rows[0::2]))
+    est, stderr = mc_moment(ensemble, spec, trials, seed)
+    gap = abs(expected - cgmt_sum(ensemble, spec))
+    return _score(name, est, stderr, expected, formula_gap=gap,
+                  gap_scale=abs(expected))
 
 
 def theorem1_discrete_check(processes: StationaryProcessSet, trials: int,
                             seed: int, threads: int = 1) -> CheckReport:
-    """Spectral uncorrelatedness: E[Xp(nu) Xq*(mu)] = G_pq(nu) kron(nu-mu);
-    the checks run on ``threads`` workers, each from its own seed."""
+    """Spectral uncorrelatedness: E[Xp(nu) Xq*(mu)] = G_pq(nu) kron(nu-mu).
+
+    Each check samples its two lines through ``mc_moment`` on
+    ``StationaryProcessSet.lines`` and scores them against that literal
+    formula, with CGMT on the same line ensemble as its formula gap.  A grid
+    on which an off-diagonal check's two bins alias (N = 1, 2, 3, 6 or 13)
+    would test nothing off the diagonal, so it raises ``ConfigError``.  The
+    checks run on ``threads`` workers, each from its own seed.
+    """
     p_max = processes.num_processes - 1
+    n = processes.grid_size
     configs = [
         ("t1-auto-diagonal", 0, 0, 3, 3),
         ("t1-cross-diagonal", 0, min(1, p_max), 5, 5),
         ("t1-auto-offdiagonal", 0, 0, 3, 9),
         ("t1-cross-offdiagonal", min(2, p_max), min(1, p_max), 7, 20),
     ]
+    for name, _, _, nu, mu in configs:
+        if nu != mu and (nu - mu) % n == 0:
+            raise ConfigError(f"grid size {n} puts bins {nu} and {mu} of "
+                              f"{name} on one line")
 
     def run(idx):
         name, p, q, nu, mu = configs[idx]
-        bins = np.mod(np.array([nu, mu]), processes.grid_size)
-        est, stderr = _line_moment(processes, (p, q), bins, trials, seed + idx)
-        expected = _pairing_reference(processes.spectrum, (p, q), bins)
-        return _score(name, est, stderr, expected)
+        # a conditional, not G * kron: G * 0.0 can print -0.0
+        expected = complex(processes.spectrum(p, q)[nu % n]) \
+            if (nu - mu) % n == 0 else 0j
+        return _line_check(name, processes, (p, q), (nu, mu), expected,
+                           trials, seed + idx)
 
     return CheckReport(checks=ordered_map(run, range(len(configs)), threads))
 
@@ -447,9 +440,11 @@ def theorem3_discrete_check(processes: StationaryProcessSet, trials: int,
     at least 32 bins): the off-diagonal null, each of the six delta-selected
     diagonal terms, a diagonal no-delta null, and the all-processes-equal
     collapse; then, on canonical internal constructions, the uncorrelated-X/Y
-    two-term survival and the fully independent white null.  Every expected
-    value is the literal six-term formula, cross-checked exactly against an
-    independent pairing-sum evaluation (the ``formula_gap`` of each result).
+    two-term survival and the fully independent white null.  Each check
+    samples its six lines through ``mc_moment`` on
+    ``StationaryProcessSet.lines``; its expected value is the literal
+    six-term formula, and CGMT on the same line ensemble is its
+    ``formula_gap``, which also catches a wrongly built line ensemble.
     """
     if processes.grid_size < 32:
         raise ConfigError(f"grid size must be >= 32, got {processes.grid_size}")
@@ -482,16 +477,10 @@ def theorem3_discrete_check(processes: StationaryProcessSet, trials: int,
 
     def run(idx):
         name, procs, pattern, ff, uu, offsets = configs[idx]
-        bins = _slot_bins(ff, uu, offsets, procs.grid_size)
-        # one G_pq table per pair for the check, shared by both exact values
-        spectrum = functools.cache(procs.spectrum)
-        expected = _six_term_formula(spectrum, procs.grid_size, pattern, ff,
-                                     uu, offsets)
-        reference = _pairing_reference(spectrum, pattern, bins)
-        gap = abs(expected - reference)
-        est, stderr = _line_moment(procs, pattern, bins, trials,
-                                   seed + 7919 * idx)
-        return _score(name, est, stderr, expected, formula_gap=gap,
-                      gap_scale=abs(expected))
+        # one G_pq table per pair for the check's formula
+        expected = _six_term_formula(functools.cache(procs.spectrum),
+                                     procs.grid_size, pattern, ff, uu, offsets)
+        return _line_check(name, procs, pattern, _slot_bins(ff, uu, offsets),
+                           expected, trials, seed + 7919 * idx)
 
     return CheckReport(checks=ordered_map(run, range(len(configs)), threads))

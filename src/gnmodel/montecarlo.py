@@ -64,6 +64,7 @@ from .errors import ConfigError
 from .kernel import KernelModel, normalized_kernel_grid
 from .rng import POL_X, POL_Y, FieldStreams, complex_normals
 from .spectra import DualPolPsd, PsdShape, phase_rotation_weight
+from .stats import mean_stderr
 
 __all__ = [
     "MODE_RP1",
@@ -286,13 +287,8 @@ def _per_trial_values(cfg, psd, kernel):
 
 def _reduce(cfg: TrialConfig, values: np.ndarray) -> PsdEstimate:
     """Mean and standard error over trials, in one fixed-order pass."""
-    trials = values.shape[0]
-    mean = values.mean(axis=0)
-    if trials > 1:
-        stderr = values.std(axis=0, ddof=1) / math.sqrt(trials)
-    else:
-        stderr = np.zeros_like(mean)
-    return PsdEstimate(cfg.frequencies_hz, mean, stderr, trials)
+    mean, stderr = mean_stderr(values)
+    return PsdEstimate(cfg.frequencies_hz, mean, stderr, values.shape[0])
 
 
 def estimate_nli_psd(cfg: TrialConfig, psd: DualPolPsd, kernel: KernelModel,

@@ -450,6 +450,20 @@ class TestMomentsCommand:
                         "--trials", "2000"]) == 0
         assert one.read_bytes() == four.read_bytes()
 
+    @pytest.mark.parametrize("grid_size", [6, 13])
+    def test_theorem1_aliased_bins_exit_1(self, tmp_path, capsys, grid_size):
+        # an off-diagonal check whose two bins share a line tests nothing
+        path = tmp_path / "alias.yaml"
+        path.write_text(textwrap.dedent(CONFIG).replace(
+            "moments:\n", f"moments:\n  grid_size: {grid_size}\n"))
+        out = tmp_path / "never.csv"
+        assert run(["--config", str(path), "--output", str(out), "moments",
+                    "--theorem", "1"]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"gnmodel: configuration error: grid size "
+                              f"{grid_size} puts bins ")
+
     def test_invalid_parameters_exit_1(self, config_path, tmp_path):
         out = tmp_path / "never.csv"
         base = ["--config", config_path, "--output", str(out), "moments"]

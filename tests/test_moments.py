@@ -1,19 +1,17 @@
 """Gaussian moment machinery: pairing sums, sampling, process sets, checks."""
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gnmodel import (CheckReport, ConfigError, GaussianEnsemble, MomentSpec,
                      StationaryProcessSet, cgmt_sum, mc_moment,
                      theorem1_discrete_check, theorem2_check,
                      theorem3_discrete_check)
 from gnmodel import moments
-from gnmodel.moments import _line_moment, _mean_stderr, _score
+from gnmodel.moments import _score
 from gnmodel.rng import complex_normals, moment_stream
+from gnmodel.stats import mean_stderr
 
 
 class TestGaussianEnsemble:
@@ -152,8 +150,10 @@ class TestMcMoment:
                 running *= np.conj(u[i])
             for i in spec.unconjugated:
                 running *= u[i]
+            (re, re_err), (im, im_err) = (mean_stderr(running.real),
+                                          mean_stderr(running.imag))
             assert mc_moment(ens, spec, trials, seed=8) \
-                == _mean_stderr(running)
+                == (complex(re, im), complex(re_err, im_err))
 
     def test_agrees_with_pairing_sum_within_4_sigma(self):
         for k, seed in ((2, 21), (3, 22)):
@@ -227,24 +227,44 @@ class TestStationaryProcessSet:
                                            rtol=1e-14)
         assert np.all(procs.spectrum(1, 1).real > 0)
 
-    def test_sample_at_repeated_and_aliased_bins_reuse_draws(self):
+    def test_lines_share_repeated_and_aliased_bins(self):
         procs = StationaryProcessSet.random(2, 2, 8, seed=3)
-        rows = [(p, slot) for p in range(2) for slot in range(4)]
-        values = procs.sample_at([5, 5, 13, 2], rows, trials=9, seed=10)
-        assert values.shape == (8, 9)
-        values = values.reshape(2, 4, 9)
-        np.testing.assert_array_equal(values[:, 0], values[:, 1])
-        np.testing.assert_array_equal(values[:, 0], values[:, 2])  # 13 mod 8 = 5
-        assert not np.array_equal(values[:, 0], values[:, 3])
-        again = procs.sample_at([5, 5, 13, 2], rows, trials=9, seed=10)
-        np.testing.assert_array_equal(values, again.reshape(2, 4, 9))
+        pattern = (0, 0, 0, 0, 1, 1, 1, 1)
+        bins = (5, 5, 13, 2) * 2                     # 13 mod 8 = 5
+        ens, rows = procs.lines(pattern, bins)
+        assert rows == [0, 0, 0, 1, 2, 2, 2, 3]
+        values = ens.sample(9, seed=10)[rows]
+        np.testing.assert_array_equal(values[0], values[1])
+        np.testing.assert_array_equal(values[0], values[2])
+        np.testing.assert_array_equal(values[4], values[6])
+        assert not np.array_equal(values[0], values[3])
+        assert not np.array_equal(values[0], values[4])
+        again, _ = procs.lines(pattern, bins)
+        np.testing.assert_array_equal(ens.factor, again.factor)
 
-        # reference: every process contracted at every distinct bin, then
-        # gathered back to slot order; each returned row is its exact bits
+    def test_lines_have_one_row_per_distinct_line(self):
+        procs = StationaryProcessSet.random(6, 4, 32, seed=1004)
+        for pattern, bins in (((0, 0), (3, 3)), ((2, 1), (7, 20)),
+                              ((0, 1, 2, 3, 4, 5), (7, 10, 10, 39, 12, 44)),
+                              ((0,) * 6, (7,) * 6), ((0, 1, 1, 0, 1, 1),
+                                                     (9, 11, 9, 10, 12, 9))):
+            ens, rows = procs.lines(pattern, bins)
+            lines = [(p, b % 32) for p, b in zip(pattern, bins)]
+            assert ens.dimension == len(set(lines))
+            assert sorted(set(rows)) == list(range(ens.dimension))
+            for i, j in np.ndindex(len(lines), len(lines)):
+                assert (rows[i] == rows[j]) == (lines[i] == lines[j])
+            # the columns: every source at every distinct bin
+            assert ens.factor.shape[1] == 4 * len({b % 32 for b in bins})
+
+    def test_line_rows_equal_the_per_bin_contraction(self):
+        # reference: every process contracted at every distinct bin with the
+        # (sources, bins, trials) draws, then gathered back to slot order
+        small = StationaryProcessSet.random(2, 2, 8, seed=3)
         big = StationaryProcessSet.random(6, 4, 32, seed=1004)
-        for procs, bins, trials, seed in (
-                (procs, [5, 5, 13, 2], 9, 10),
-                (big, [7, 10, 10, 39, 12, 44], 5000, 7919)):  # 39, 44 alias
+        for procs, pattern, bins, trials, seed in (
+                (small, (1, 0, 1, 0), (5, 5, 13, 2), 9, 10),
+                (big, (0, 1, 2, 3, 4, 5), (7, 10, 10, 39, 12, 44), 5000, 7919)):
             b = np.mod(np.asarray(bins), procs.grid_size)
             uniq, inverse = np.unique(b, return_inverse=True)
             sources = procs.filters.shape[1]
@@ -254,17 +274,16 @@ class TestStationaryProcessSet:
             w /= math.sqrt(2.0)
             full = np.einsum("psu,sut->put", procs.filters[:, :, uniq],
                              w)[:, inverse, :]
-            rows = [(p, slot) for p in range(procs.num_processes)
-                    for slot in range(len(bins))][::-1]
-            values = procs.sample_at(bins, rows, trials, seed)
-            assert np.array_equal(values,
-                                  np.stack([full[p, slot] for p, slot in rows]))
+            want = np.stack([full[p, slot] for slot, p in enumerate(pattern)])
+            ens, rows = procs.lines(pattern, bins)
+            got = ens.sample(trials, seed)[rows]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_sample_statistics_match_spectra(self):
         procs = StationaryProcessSet.random(3, 4, 16, seed=31)
         trials = 60_000
-        values = procs.sample_at([6], [(p, 0) for p in range(3)],
-                                 trials=trials, seed=77)
+        ens, rows = procs.lines((0, 1, 2), (6, 6, 6))
+        values = ens.sample(trials, seed=77)[rows]
         for p in range(3):
             for q in range(3):
                 prod = values[p] * np.conj(values[q])
@@ -272,6 +291,8 @@ class TestStationaryProcessSet:
                     / math.sqrt(trials)
                 expected = complex(procs.spectrum(p, q)[6])
                 assert abs(complex(prod.mean()) - expected) < 5.0 * stderr
+                np.testing.assert_allclose(ens.covariance[p, q], expected,
+                                           rtol=1e-14)
 
     def test_independent_pair_has_zero_cross_spectrum(self):
         procs = StationaryProcessSet.independent_pair(32, seed=5)
@@ -288,36 +309,6 @@ class TestStationaryProcessSet:
                                               np.full(16, expected))
 
 
-class TestLineMoment:
-    """``_line_moment`` builds the slot product in place; it must give the
-    literal chain's bits below NumPy's 256 KiB temporary-elision threshold
-    (1,000 trials: the chain allocates) and above it (20,000: the chain
-    works in place)."""
-
-    @pytest.mark.parametrize("trials", [1000, 20_000])
-    @settings(max_examples=10)
-    @given(slots=st.sampled_from([2, 6]),
-           pattern=st.lists(st.integers(0, 5), min_size=6, max_size=6),
-           bins=st.lists(st.integers(0, 70), min_size=6, max_size=6),
-           seed=st.integers(0, 2**32))
-    def test_equals_the_literal_product(self, trials, slots, pattern, bins,
-                                        seed):
-        procs = StationaryProcessSet.random(6, 4, 32, seed=1004)
-        pattern, bins = pattern[:slots], bins[:slots]
-        s = procs.sample_at(bins, [(p, i) for i, p in enumerate(pattern)],
-                            trials, seed)
-        if slots == 2:
-            literal = s[0] * np.conj(s[1])
-        else:
-            literal = (s[0] * np.conj(s[1]) * s[2] * np.conj(s[3]) * s[4]
-                       * np.conj(s[5]))
-        with mock.patch.object(moments, "_mean_stderr", lambda prod: prod):
-            prod = _line_moment(procs, pattern, bins, trials, seed)
-        assert prod.tobytes() == literal.tobytes()
-        assert _line_moment(procs, pattern, bins, trials, seed) \
-            == _mean_stderr(literal)
-
-
 class TestTheoremChecks:
     def test_theorem1_battery_passes(self):
         procs = StationaryProcessSet.random(3, 4, 32, seed=911)
@@ -325,8 +316,42 @@ class TestTheoremChecks:
         assert len(report.checks) == 4
         assert report.all_passed, [c.name for c in report.checks if not c.passed]
         by_name = {c.name: c for c in report.checks}
-        assert by_name["t1-auto-offdiagonal"].expected == 0
+        for null in ("t1-auto-offdiagonal", "t1-cross-offdiagonal"):
+            # +0j, not a product's -0.0
+            assert str(by_name[null].expected) == "0j"
         assert by_name["t1-auto-diagonal"].expected.real > 0
+        # CGMT on the sampled line ensemble agrees with G_pq(nu) kron(nu-mu)
+        for c in report.checks:
+            assert c.formula_gap <= 1e-10 * max(abs(c.expected), 1.0)
+
+    @pytest.mark.parametrize("grid_size,name", [
+        (6, "t1-auto-offdiagonal"), (13, "t1-cross-offdiagonal")])
+    def test_theorem1_rejects_aliased_offdiagonal_bins(self, grid_size, name):
+        # bins 3 and 9 share a line at N = 6, bins 7 and 20 at N = 13: the
+        # off-diagonal null would read one line and test nothing
+        procs = StationaryProcessSet.random(6, 4, grid_size, seed=911)
+        with pytest.raises(ConfigError, match=f"grid size {grid_size} .*{name}"):
+            theorem1_discrete_check(procs, trials=100, seed=0)
+
+    def test_wrong_line_factor_fails_formula_gap(self, monkeypatch):
+        # a line ensemble built wrong (one source column scaled) is caught by
+        # CGMT on that ensemble against the literal formula, whatever z says
+        procs = StationaryProcessSet.random(6, 4, 32, seed=515)
+        right = StationaryProcessSet.lines
+
+        def wrong(self, pattern, bins):
+            ens, rows = right(self, pattern, bins)
+            factor = ens.factor.copy()
+            factor[:, 0] *= 1.01
+            return GaussianEnsemble(factor=factor), rows
+
+        monkeypatch.setattr(StationaryProcessSet, "lines", wrong)
+        for check in (theorem1_discrete_check, theorem3_discrete_check):
+            report = check(procs, trials=200, seed=4000)
+            for c in report.checks:
+                if c.expected != 0:
+                    assert c.formula_gap > 1e-4 * abs(c.expected), c.name
+                    assert not c.passed, c.name
 
     def test_theorem1_thread_count_is_invisible(self):
         procs = StationaryProcessSet.random(3, 4, 32, seed=911)
