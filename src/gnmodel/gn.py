@@ -45,16 +45,29 @@ first point starts a new run; a point that shares no lattice with a
 neighbour is a run of one, whose table is its own grid.  Runs are the unit
 of work of the thread pool, so results do not depend on the thread count.
 
+SPM and XPolM integrate the same kernel; only their PSD factors differ.
+When XPolM's partner axis lies on the main axis's lattice (the same cell
+width, and a whole number of cells between the support starts, within 1e-9
+of a cell), the two terms share their tables (``_tables``): the runs are
+formed once, on the hull of the two axes, and each run fills one square
+table on that hull, from which a task sums both terms at all of the run's
+points, XPolM's windows offset by the cells between the supports.  The
+lattice coordinates are counted from the X support start, so SPM's are
+those of a table of its own; XPolM's can differ from its own axis's only by
+the rounding of that count, none where the coordinates are exact in binary.
+Otherwise (the widths differ, or the supports start a fractional number of
+cells apart) each term has tables of its own.
+
 The PSD factors are sampled once per term or run, not once per point:
 * f + f1 = lo1 + (i + 1/2) h1 does not depend on f, so main and partner are
   evaluated once per term on their axes' midpoints;
 * when both axes have the same cell width h (every SPM run, and XPolM when
   both shapes get the same width), cell (i, j) of the point shifted by s
   cells from the run's first point f0 sits at f + f1 + f2 = lo1 + lo2 - f0
-  + (i + j + 1 - s) h.  The third factor is evaluated once per run on those
-  n1 + n2 - 1 + (max s - min s) anti-diagonal values, and each point reads
-  its n1 x n2 third factor as a zero-copy Hankel view of that vector
-  (``sliding_window_view``);
+  + (i + j + 1 - s) h.  The third factor is evaluated once per run and
+  term on those n1 + n2 - 1 + (max s - min s) anti-diagonal values, and
+  each point reads its n1 x n2 third factor as a zero-copy Hankel view of
+  that vector (``sliding_window_view``);
 * when the widths differ, the third factor is evaluated at each point's own
   f + f1 + f2.
 Each point's sum a @ ((c * w) @ b), with a and b the main and partner
@@ -66,28 +79,32 @@ point reads it.  The third factor Ghat(f + f1 + f2) is exactly 0 outside its
 support (lo3, hi3), so a cell whose f1 + f2 lies outside [lo3 - max f,
 hi3 - min f] over the run's points contributes nothing at any of them: for
 rectangular spectra this band is the GN model's lozenge-shaped domain.
-Each row of the table keeps the one interval of columns (lat2 is
-increasing) whose lat1 + lat2 lies in that range widened by one cell, which
-absorbs the rounding between the lattice coordinates and the third factor's
-own, cut to the hull of the columns that the points' windows read in that
-row; every other cell stays 0.  The bits cannot change:
+For each term, each row of the table keeps the one interval of columns
+(lat2 is increasing) whose lat1 + lat2 lies in its range widened by one
+cell, which absorbs the rounding between the lattice coordinates and the
+third factor's own, cut to the hull of the columns that the term's windows
+read in that row.  The table is filled on the union of its terms'
+intervals; every other cell stays 0.  The bits cannot change:
 * a skipped cell that some point reads has third factor c == 0 there, so
   its product c*w is +0 whatever w holds, and every sum keeps its bits; a
   cell that no point reads is never multiplied;
 * eta of an array is elementwise to the bit at any array length
   (``normalized_kernel_grid``), so the cells that are evaluated keep
-  theirs.  When the axes are equal (every SPM run), f1 f2 == f2 f1
-  exactly, so each row's interval starts no earlier than the diagonal and
-  the values are mirrored;
-* the band is selected one row block of at most one point's grid at a
-  time, so memory stays within a small multiple of the per-point
-  integrand;
+  theirs.  When the axes are equal (every SPM table, and every shared
+  one), f1 f2 == f2 f1 exactly, so only the union's upper triangle is
+  evaluated and the values are mirrored.  The union is first closed under
+  transposition: an XPolM window is not symmetric, and the mirror fills
+  its cells below the diagonal only from their transposes;
+* the cells are marked once per table, one byte each, and evaluated one
+  row block of at most one point's grid at a time, so memory stays within
+  a small multiple of the per-point integrand;
 * on a dispersion-free link (``KernelModel.flat``) eta is one constant: it
   is evaluated at one product and broadcast, and no table is evaluated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -238,24 +255,51 @@ def _runs(grid: np.ndarray, axes) -> list:
     return runs
 
 
-def _eta2_table(kernel, lat1, lat2, start, stop, block_size):
-    """|eta(f1 f2)|^2 on the lattice lat1 x lat2 in the columns [start[r],
-    stop[r]) of each row r, 0 elsewhere, filled as the module docstring
-    describes: broadcast constant, or per-row column intervals in row blocks
-    of at most ``block_size`` cells, mirrored when the axes are equal."""
+def _tables(terms) -> list:
+    """(table axes, terms) of each |eta|^2 table of a request.
+
+    When XPolM's partner axis lies on the main axis's lattice (the same cell
+    width, and a whole number of cells between the support starts), both
+    terms read one square table on the hull of the two axes; otherwise each
+    term has a table on its own two axes.  Each term records the table
+    cells of its first main and partner cell.
+    """
+    if len(terms) == 2:
+        (lo, h, off), (lo_y, h_y, off_y) = terms[1].axes
+        gap = _whole_cells(lo_y - lo, h) if h_y == h else None
+        if gap is not None:
+            first = min(0, gap)
+            cells = max(off.size, gap + off_y.size) - first
+            hull = (lo + first * h, h, (np.arange(cells) + 0.5) * h)
+            return [((hull, hull), [terms[0]._replace(cells=(-first, -first)),
+                                    terms[1]._replace(cells=(-first,
+                                                             gap - first))])]
+    return [(term.axes, [term]) for term in terms]
+
+
+def _eta2_table(kernel, lat1, lat2, intervals, block_size):
+    """|eta(f1 f2)|^2 on the lattice lat1 x lat2 in the union of the terms'
+    cells, 0 elsewhere.  Each entry of ``intervals`` holds one term's column
+    interval [start[r], stop[r]) of each row r.  The table is filled as the
+    module docstring describes: broadcast constant, or in row blocks of at
+    most ``block_size`` cells; when the axes are equal, the union is closed
+    under transposition and its upper triangle evaluated and mirrored."""
     shape = (lat1.size, lat2.size)
     if kernel.flat:
         eta = normalized_kernel_grid(kernel, lat1[:1] * lat2[:1])
         return np.broadcast_to(eta.real**2 + eta.imag**2, shape)
     symmetric = np.array_equal(lat1, lat2)
-    if symmetric:
-        start = np.maximum(start, np.arange(lat1.size))
-    table = np.zeros(shape)
     columns = np.arange(lat2.size)
+    cells = np.zeros(shape, dtype=bool)
+    for start, stop in intervals:
+        cells |= (start[:, None] <= columns) & (columns < stop[:, None])
+    if symmetric:
+        cells |= cells.T
+        cells &= columns[:, None] <= columns
+    table = np.zeros(shape)
     block = max(1, block_size // lat2.size)
     for r in range(0, lat1.size, block):
-        band = (start[r:r + block, None] <= columns) \
-            & (columns < stop[r:r + block, None])
+        band = cells[r:r + block]
         eta = normalized_kernel_grid(kernel, (lat1[r:r + block, None] * lat2)[band])
         values = eta.real**2 + eta.imag**2
         table[r:r + block][band] = values
@@ -274,50 +318,78 @@ def _read_columns(first1, first2, n1, n2, rows):
             np.where(inside, first2 + n2, 0).max(axis=1))
 
 
-def _integrate_run(kernel, third, axes, factors, grid, run) -> np.ndarray:
-    """II |eta(f1 f2)|^2 main(f+f1) partner(f+f2) third(f+f1+f2) df1 df2 at
-    every point f of one run, from one |eta|^2 table on the run's lattice;
-    ``factors`` holds main and partner on their axes' midpoints."""
-    (lo1, h1, off1), (lo2, h2, off2) = axes
-    a, b = factors
+class _Term(NamedTuple):
+    """One GN term: II |eta(f1 f2)|^2 main(f+f1) partner(f+f2)
+    third(f+f1+f2) df1 df2, times ``scale``, into ``out``."""
+
+    out: np.ndarray
+    scale: float
+    third: PsdShape
+    axes: tuple         # main and partner cell axes
+    factors: tuple      # main and partner on their axes' midpoints
+    cells: tuple = (0, 0)   # table cells of the first main and partner cell
+
+
+def _integrate_run(kernel, axes, terms, grid, run) -> list:
+    """Each term's integral at every point f of one run, from one |eta|^2
+    table on the run's lattice; ``axes`` are the table's cell axes."""
+    rows, cols = (off.size for _, _, off in axes)
     idx, s1, s2 = run
-    n1, n2 = off1.size, off2.size
     f0 = float(grid[idx[0]])
     top1, top2 = max(s1), max(s2)
-    # lattice coordinates relative to the first point: the window of the
-    # point shifted by (c1, c2) cells starts at row top1 - c1, column top2 - c2
-    first1, first2 = top1 - np.array(s1), top2 - np.array(s2)
-    lat1 = (lo1 - f0) + (np.arange(n1 + top1 - min(s1)) + 0.5 - top1) * h1
-    lat2 = (lo2 - f0) + (np.arange(n2 + top2 - min(s2)) + 0.5 - top2) * h2
-    # f + f1 + f2 of any point lies within [lo3, hi3] only on this band, and
-    # of its columns a row needs only those that some point's window reads
-    lo3, hi3 = third.support
+    # the window of the point shifted by (c1, c2) cells starts top1 - c1
+    # cells after the run's first cell of the term's main axis, and top2 - c2
+    # after that of its partner axis
+    shift1, shift2 = top1 - np.array(s1), top2 - np.array(s2)
+    # lattice coordinates relative to the first point, from the first term's
+    # axis starts
+    (lo1, h1, _), (lo2, h2, _) = terms[0].axes
+    d1, d2 = terms[0].cells
+    lat1 = (lo1 - f0) + (np.arange(rows + top1 - min(s1)) - d1 + 0.5
+                         - top1) * h1
+    lat2 = (lo2 - f0) + (np.arange(cols + top2 - min(s2)) - d2 + 0.5
+                         - top2) * h2
+    # f + f1 + f2 of any point lies within [lo3, hi3] only on a term's band,
+    # and of its columns a row needs only those that some window reads
     points = grid[idx]
-    margin = max(h1, h2)
-    start, stop = _read_columns(first1, first2, n1, n2, lat1.size)
-    start = np.maximum(start, np.searchsorted(
-        lat2, lo3 - points.max() - margin - lat1, side="left"))
-    stop = np.minimum(stop, np.searchsorted(
-        lat2, hi3 - points.min() + margin - lat1, side="right"))
-    table = _eta2_table(kernel, lat1, lat2, start, stop, n1 * n2)
-    if h1 == h2:
-        # cell (i, j) of the point shifted by c cells sits at f + f1 + f2 =
-        # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals, read
-        # by each point through a Hankel view
-        diagonals = np.arange(n1 + n2 - 1 + top1 - min(s1)) + 1 - top1
-        hankel = sliding_window_view(
-            third.evaluate((lo1 + lo2 - f0) + diagonals * h1), n2)
-    values = np.empty(len(idx))
-    for j, (k, r, c) in enumerate(zip(idx, first1, first2)):
+    intervals = []
+    for term in terms:
+        (_, h1, off1), (_, h2, off2) = term.axes
+        d1, d2 = term.cells
+        lo3, hi3 = term.third.support
+        margin = max(h1, h2)
+        start, stop = _read_columns(d1 + shift1, d2 + shift2, off1.size,
+                                    off2.size, lat1.size)
+        intervals.append((
+            np.maximum(start, np.searchsorted(
+                lat2, lo3 - points.max() - margin - lat1, side="left")),
+            np.minimum(stop, np.searchsorted(
+                lat2, hi3 - points.min() + margin - lat1, side="right"))))
+    table = _eta2_table(kernel, lat1, lat2, intervals, rows * cols)
+    results = []
+    for term in terms:
+        (lo1, h1, off1), (lo2, h2, off2) = term.axes
+        (a, b), (d1, d2) = term.factors, term.cells
+        n1, n2 = off1.size, off2.size
         if h1 == h2:
-            third_factor = hankel[r:r + n1]
-        else:
-            f = float(grid[k])
-            third_factor = third.evaluate(
-                f + ((lo1 - f) + off1)[:, None] + ((lo2 - f) + off2))
-        weight = table[r:r + n1, c:c + n2]
-        values[j] = h1 * h2 * (a @ ((third_factor * weight) @ b))
-    return values
+            # cell (i, j) of the point shifted by c cells sits at f + f1 + f2 =
+            # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals,
+            # read by each point through a Hankel view
+            diagonals = np.arange(n1 + n2 - 1 + top1 - min(s1)) + 1 - top1
+            hankel = sliding_window_view(
+                term.third.evaluate((lo1 + lo2 - f0) + diagonals * h1), n2)
+        values = np.empty(len(idx))
+        for j, (k, r, c) in enumerate(zip(idx, shift1, shift2)):
+            if h1 == h2:
+                third_factor = hankel[r:r + n1]
+            else:
+                f = float(grid[k])
+                third_factor = term.third.evaluate(
+                    f + ((lo1 - f) + off1)[:, None] + ((lo2 - f) + off2))
+            weight = table[d1 + r:d1 + r + n1, d2 + c:d2 + c + n2]
+            values[j] = h1 * h2 * (a @ ((third_factor * weight) @ b))
+        results.append(values)
+    return results
 
 
 def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
@@ -327,7 +399,7 @@ def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
     grid = req.output_grid_hz
     spm = np.zeros(grid.size)
     xpolm = np.zeros(grid.size)
-    tasks = []
+    terms = []
     for out, scale, shapes in ((spm, 2.0, (gx, gx, gx)),
                                (xpolm, 1.0, (gx, gy, gy))):
         if min(shape.power_integral() for shape in shapes) <= 0:
@@ -336,12 +408,15 @@ def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
                      for shape in shapes[:2])
         factors = tuple(shape.evaluate(lo + off)
                         for shape, (lo, _, off) in zip(shapes, axes))
-        tasks += [(out, scale, shapes[2], axes, factors, run)
-                  for run in _runs(grid, axes)]
+        terms.append(_Term(out, scale, shapes[2], axes, factors))
+    tasks = [(axes, group, run) for axes, group in _tables(terms)
+             for run in _runs(grid, axes)]
 
     def compute(task):
-        out, scale, *term, run = task
-        out[run[0]] = scale * _integrate_run(req.kernel, *term, grid, run)
+        axes, group, run = task
+        for term, values in zip(group, _integrate_run(req.kernel, axes, group,
+                                                      grid, run)):
+            term.out[run[0]] = term.scale * values
 
     ordered_map(compute, tasks, threads)
 

@@ -270,11 +270,14 @@ def normalized_kernel_grid(model: KernelModel, F):
     No deduplication: each value depends on its own F only, not on its
     position, on the other elements or on the array's length, so any split
     or reordering of F gives the same bits (``kernel_closed_form`` fixes
-    the operand order of its complex products); callers that know of
-    repeated products (symmetric tables, a ``model.flat`` link) evaluate
-    them once themselves.  On a flat
-    link every element is K(0)/K(0) as the division rounds it: 1+0j for most
-    links, 1 - 2**-53 for some.
+    the operand order of its complex products).  The callers that know of
+    repeated products evaluate them once themselves: the GN engine's
+    |eta|^2 tables (``gn``) evaluate the upper triangle of a symmetric table
+    and mirror it, let SPM and XPolM read one table when their axes share a
+    lattice, and take one value on a ``model.flat`` link; the Monte Carlo
+    engine (``montecarlo``) evaluates each distinct integer product of the
+    line spacing once.  On a flat link every element is K(0)/K(0) as the
+    division rounds it: 1+0j for most links, 1 - 2**-53 for some.
     """
     F = np.asarray(F, dtype=float)
     return (kernel_closed_form(model, F.ravel()) / model.k0).reshape(F.shape)

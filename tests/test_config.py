@@ -1,12 +1,15 @@
 """YAML configuration loading: units, validation, defaults, resolved map."""
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from gnmodel import (ConfigError, RaisedCosinePsd, RectangularPsd,
                      TabulatedPsd, config, load_config)
+from test_cli import KERNEL_GRID, RANGES, TEXTS
 
 FULL = """
 link:
@@ -378,3 +381,32 @@ class TestSchema:
         assert params["k"] == MAX_MOMENT_ORDER
         with pytest.raises(ConfigError, match="moments.k must be in"):
             config.read_flags("moments", {"k": str(MAX_MOMENT_ORDER + 1)}, {})
+
+
+class TestLoader:
+    """The file and every flag's text go through config's loader, libyaml's
+    where PyYAML has it, and read as PyYAML's pure-Python SafeLoader reads
+    them: the same type and value."""
+
+    DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
+    # YAML 1.1 forms the two parsers could tell apart
+    FORMS = ["1e5", "010", "0x10", "yes", ".inf", "1_000", "-2e22", "1:20",
+             "0b101", "2026-10-20", "~", "'quoted'", "[1, 2.5]"]
+
+    @staticmethod
+    def both(text):
+        return [(type(value), repr(value)) for value in
+                (yaml.load(text, Loader=config._LOADER),
+                 yaml.load(text, Loader=yaml.SafeLoader))]
+
+    def test_demo_configuration_reads_alike(self):
+        first, second = self.both(self.DEMO.read_text(encoding="utf-8"))
+        assert first == second
+
+    def test_flag_texts_read_alike(self):
+        texts = [*TEXTS, *KERNEL_GRID.values(), *self.FORMS,
+                 *(str(value) for _, _, bad, edge in RANGES
+                   for value in (*bad, *edge))]
+        for text in texts:
+            first, second = self.both(text)
+            assert first == second, text

@@ -186,6 +186,30 @@ class TestIndependentReassembly:
                                 self.gx)
         self.assert_terms_match(nli_psd_x(self.request(grid)), self.gx, self.gy)
 
+    def test_partner_on_the_main_lattice_shares_one_table(self):
+        # rectangles on 0.25 GHz cells: X from -2.5 GHz, 24 cells; Y starts
+        # 2 cells below X, or ends 6 cells above it, or both, so XPolM reads
+        # cells of the shared table that SPM does not, on both sides of its
+        # diagonal; at one output point there is one table
+        gx = RectangularPsd(center_hz=0.5e9, bandwidth_hz=6e9, height=1.2)
+        for gy in (RectangularPsd(-1e9, 4e9, 0.7),
+                   RectangularPsd(2.5e9, 5e9, 0.7),
+                   RectangularPsd(1e9, 10e9, 0.7)):
+            psd = DualPolPsd(gx=gx, gy=gy, p0_w=2e-3)
+            tables = []
+
+            def counting_table(*args):
+                tables.append(args)
+                return eta2_table(*args)
+
+            eta2_table = gn._eta2_table
+            with mock.patch.object(gn, "_eta2_table", counting_table):
+                result = nli_psd_x(GnRequest(
+                    psd=psd, kernel=self.kernel, output_grid_hz=np.array([0.3e9]),
+                    inner_grid_step_hz=self.step))
+            assert len(tables) == 1
+            self.assert_terms_match(result, gx, gy)
+
     def test_y_polarization_terms(self):
         grid = [0.4e9]
         result = y_polarization(self.request(grid))
@@ -261,11 +285,11 @@ class TestEngineContracts:
             self.request(inner_grid_step_hz=0.0)
 
 
-def deduplicated_row_block_table(kernel, lat1, lat2, start, stop, block_size):
+def deduplicated_row_block_table(kernel, lat1, lat2, intervals, block_size):
     """The |eta|^2 table fill the engine replaced: row blocks of at most
     ``block_size`` elements, each deduplicated through ``np.unique``, with
-    no band (``start`` and ``stop`` are not read), no triangle and no
-    dispersion-free shortcut."""
+    no band (``intervals`` is not read), no triangle and no dispersion-free
+    shortcut."""
     table = np.empty((lat1.size, lat2.size))
     block = max(1, block_size // lat2.size)
     for r in range(0, lat1.size, block):
@@ -286,11 +310,40 @@ LINKS = {
 }
 
 
+# the cell width of the shared-lattice cases, exact in binary
+LATTICE_STEP = 2.0**28
+
+
 @st.composite
 def small_gn_inputs(draw):
     """Small raised-cosine, rectangular and tabulated requests on the three
     links; the grid step is sometimes a whole number of cells, so runs share
-    tables.  A table's end values are not zero, so it jumps at both ends."""
+    tables.  A table's end values are not zero, so it jumps at both ends.
+
+    In a third of the cases Y lies on X's cell lattice (cells of
+    LATTICE_STEP, support starts a whole number of cells apart) and reaches
+    outside X at one end or both, so both terms read one table and XPolM
+    reads cells that SPM does not: a rectangle or tabulated shape spans a
+    whole number of cells, a raised cosine half a cell more, so it takes
+    cells of exactly the step."""
+    def lattice_shape(lo, cells):
+        kind = draw(st.sampled_from(["rectangular", "raised_cosine",
+                                     "tabulated"]))
+        height = draw(st.floats(0.1, 2.0))
+        if kind == "rectangular":
+            width = cells * LATTICE_STEP
+            return RectangularPsd(lo + 0.5 * width, width, height)
+        if kind == "tabulated":
+            values = draw(st.lists(st.floats(0.1, 2.0), min_size=2,
+                                   max_size=9))
+            return TabulatedPsd(
+                lo + cells * LATTICE_STEP * np.linspace(0.0, 1.0, len(values)),
+                height * np.array(values))
+        width = (cells + 0.5) * LATTICE_STEP
+        rolloff = draw(st.sampled_from([0.3, 1.0]) | st.floats(1e-3, 1.0))
+        return RaisedCosinePsd(lo + 0.5 * width, width / (1.0 + rolloff),
+                               rolloff, height)
+
     def shape():
         center = draw(st.floats(-1e9, 1e9))
         bandwidth = draw(st.floats(3e9, 8e9))
@@ -310,10 +363,20 @@ def small_gn_inputs(draw):
                        | st.floats(0.0, 1.0))
         return RaisedCosinePsd(center, bandwidth, rolloff, height)
 
-    gx = shape()
-    gy = gx if draw(st.booleans()) else shape()
-    widths = [s.support[1] - s.support[0] for s in (gx, gy)]
-    step = min(widths) / draw(st.sampled_from([16, 19, 24]))
+    if draw(st.integers(0, 2)) == 0:
+        cells_x, cells_y = draw(st.integers(16, 28)), draw(st.integers(16, 36))
+        lo_x = 0.5 * LATTICE_STEP * draw(st.integers(-16, 8))
+        # Y starts below X, or ends above it
+        offset = draw(st.integers(-6, -1)
+                      | st.integers(cells_x - cells_y + 1, cells_x - cells_y + 6))
+        gx = lattice_shape(lo_x, cells_x)
+        gy = lattice_shape(lo_x + offset * LATTICE_STEP, cells_y)
+        step = LATTICE_STEP
+    else:
+        gx = shape()
+        gy = gx if draw(st.booleans()) else shape()
+        widths = [s.support[1] - s.support[0] for s in (gx, gy)]
+        step = min(widths) / draw(st.sampled_from([16, 19, 24]))
     spacing = step * draw(st.sampled_from([1.0, 2.0, 0.37]))
     grid = draw(st.floats(-2e9, 2e9)) \
         + spacing * np.arange(draw(st.integers(1, 6)))
@@ -337,15 +400,16 @@ class TestTableFillBitContract:
     @given(req=small_gn_inputs())
     def test_unevaluated_cells_have_zero_third_factor(self, req):
         # eta is replaced by ones, so a table cell reads 1 where the fill
-        # evaluated it and 0 where it left it; each run's points then
-        # evaluate their third factor exactly as _integrate_run does: on
-        # the run's anti-diagonals when both cell widths are equal, else at
-        # the point's own f + f1 + f2
+        # evaluated or mirrored it and 0 where it left it; every window of
+        # every term that reads a run's table then evaluates its third
+        # factor exactly as _integrate_run does: on the run's anti-diagonals
+        # when both cell widths are equal, else at the point's own
+        # f + f1 + f2
         runs, tables = [], []
 
-        def recording_run(kernel, third, axes, factors, grid, run):
-            runs.append((third, axes, grid, run))
-            return integrate_run(kernel, third, axes, factors, grid, run)
+        def recording_run(kernel, axes, terms, grid, run):
+            runs.append((terms, grid, run))
+            return integrate_run(kernel, axes, terms, grid, run)
 
         def recording_table(*args):
             tables.append(eta2_table(*args))
@@ -358,23 +422,27 @@ class TestTableFillBitContract:
                                   lambda kernel, F: np.ones(F.shape)):
             nli_psd_x(req)
         assert len(runs) == len(tables) > 0
-        for (third, axes, grid, run), table in zip(runs, tables):
-            (lo1, h1, off1), (lo2, h2, off2) = axes
+        for (terms, grid, run), table in zip(runs, tables):
             idx, s1, s2 = run
             top1, top2 = max(s1), max(s2)
             f0 = float(grid[idx[0]])
-            for k, c1, c2 in zip(idx, s1, s2):
-                if h1 == h2:
-                    diagonal = np.arange(off1.size)[:, None] \
-                        + np.arange(off2.size) + 1 - c1
-                    c = third.evaluate((lo1 + lo2 - f0) + diagonal * h1)
-                else:
-                    f = float(grid[k])
-                    c = third.evaluate(f + ((lo1 - f) + off1)[:, None]
-                                       + ((lo2 - f) + off2))
-                window = table[top1 - c1:top1 - c1 + off1.size,
-                               top2 - c2:top2 - c2 + off2.size]
-                assert np.all(c[window == 0] == 0)
+            for term in terms:
+                (lo1, h1, off1), (lo2, h2, off2) = term.axes
+                d1, d2 = term.cells
+                for k, c1, c2 in zip(idx, s1, s2):
+                    if h1 == h2:
+                        diagonal = np.arange(off1.size)[:, None] \
+                            + np.arange(off2.size) + 1 - c1
+                        c = term.third.evaluate((lo1 + lo2 - f0)
+                                                + diagonal * h1)
+                    else:
+                        f = float(grid[k])
+                        c = term.third.evaluate(f + ((lo1 - f) + off1)[:, None]
+                                                + ((lo2 - f) + off2))
+                    window = table[d1 + top1 - c1:d1 + top1 - c1 + off1.size,
+                                   d2 + top2 - c2:d2 + top2 - c2 + off2.size]
+                    assert window.shape == c.shape
+                    assert np.all(c[window == 0] == 0)
 
 
 class TestPowerScaling:
@@ -444,23 +512,31 @@ psd:
 
 
 class TestWorkCount:
-    """Kernel products that the |eta|^2 tables evaluate for ``psd``, the
-    tables they fill, and the PSD values each run evaluates.  The demo
-    configuration: 133,583 products when every cell was filled, 81,355 on
-    the band, 72,890 on the band cells that some point's window reads; a
-    fill that evaluates cells no point reads fails.  The 3-span
-    raised-cosine request: 162 one-point tables and 891,693 products on
-    support-aligned cells of 248.4 MHz, 8 tables and 87,758 products on
-    cells of the 250 MHz step, 78,465 on the read band cells; an axis whose
-    cells the 0.5 GHz output spacing does not divide fails."""
+    """Kernel products that the |eta|^2 tables evaluate, the tables they
+    fill, and the PSD values each run evaluates.
+
+    The demo ``psd``: 133,583 products when every cell was filled, 81,355
+    on the band, 72,890 in 8 tables on the band cells that some point's
+    window reads, 31,438 in 4 tables once XPolM reads SPM's table (Y lies
+    on X's lattice); a fill that evaluates cells no point reads, or a table
+    per term, fails.  The GN prediction of the demo ``montecarlo``: 353,857
+    products in 11 tables with a table per term, 154,738 in 5 shared ones.
+    The 3-span raised-cosine request: 162 one-point tables and 891,693
+    products on support-aligned cells of 248.4 MHz, 8 tables and 87,758
+    products on cells of the 250 MHz step, 78,465 on the read band cells;
+    an axis whose cells the 0.5 GHz output spacing does not divide fails.
+    Its X and Y supports start 13.6 cells apart, so each term keeps its own
+    tables."""
 
     DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
-    DEMO_PSD_PRODUCTS = 72_890
+    DEMO_PSD_PRODUCTS = 31_438
+    DEMO_PSD_TABLES = 4
+    DEMO_MONTECARLO_PRODUCTS = 154_738
     RC_PSD_PRODUCTS = 78_465
     RC_PSD_TABLES = 8
 
-    def count_psd(self, config, tmp_path):
-        """(products, tables) of one ``psd`` run of the config."""
+    def count(self, config, tmp_path, *argv):
+        """(products, tables) of one run of the config; ``psd`` by default."""
         counted, tables = [], []
 
         def counting(kernel, F):
@@ -475,33 +551,42 @@ class TestWorkCount:
         with mock.patch.object(gn, "normalized_kernel_grid", counting), \
                 mock.patch.object(gn, "_eta2_table", counting_table):
             assert run(["--config", str(config), "--output",
-                        str(tmp_path / "psd.csv"), "psd"]) == 0
+                        str(tmp_path / "out.csv"), *(argv or ("psd",))]) == 0
         return sum(counted), len(tables)
 
     def test_demo_psd_evaluates_only_the_band(self, tmp_path):
-        products, _ = self.count_psd(self.DEMO, tmp_path)
+        products, tables = self.count(self.DEMO, tmp_path)
         assert 0 < products <= self.DEMO_PSD_PRODUCTS
+        assert 0 < tables <= self.DEMO_PSD_TABLES
+
+    def test_montecarlo_prediction_shares_tables(self, tmp_path):
+        # the trial count does not reach the GN prediction
+        products, _ = self.count(self.DEMO, tmp_path, "montecarlo",
+                                 "--trials", "16")
+        assert 0 < products <= self.DEMO_MONTECARLO_PRODUCTS
 
     def test_raised_cosine_points_share_tables(self, tmp_path):
         config = tmp_path / "three_span_rc.yaml"
         config.write_text(THREE_SPAN_RC_YAML)
-        products, tables = self.count_psd(config, tmp_path)
+        products, tables = self.count(config, tmp_path)
         assert 0 < products <= self.RC_PSD_PRODUCTS
         assert 0 < tables <= self.RC_PSD_TABLES
 
     def test_third_factor_is_evaluated_once_per_run(self, tmp_path):
         # the demo's cells are 250 MHz on both axes, so inside a run the
-        # only PSD evaluation is the third factor's, on the run's n1 + n2 -
-        # 1 + spread anti-diagonals; point by point it took n1*n2 per point
+        # only PSD evaluation is the third factor's, on each term's n1 + n2
+        # - 1 + spread anti-diagonals; point by point it took n1*n2 per
+        # point and term
         bounds, counts, active = [], [], []
 
-        def recording_run(kernel, third, axes, factors, grid, run):
-            (_, _, off1), (_, _, off2) = axes
-            bounds.append(off1.size + off2.size - 1 + max(run[1]) - min(run[1]))
+        def recording_run(kernel, axes, terms, grid, run):
+            spread = max(run[1]) - min(run[1])
+            bounds.append(sum(term.axes[0][2].size + term.axes[1][2].size - 1
+                              + spread for term in terms))
             counts.append(0)
             active.append(run)
             try:
-                return integrate_run(kernel, third, axes, factors, grid, run)
+                return integrate_run(kernel, axes, terms, grid, run)
             finally:
                 active.pop()
 

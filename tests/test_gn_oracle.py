@@ -144,3 +144,10 @@ class TestEngineAccuracy:
         worst = np.max(np.abs(engine_errors(DEMO_LINK, DEMO_PSD)), axis=0)
         assert worst[0] <= 5.4e-3
         assert worst[1] <= 1.06e-2
+
+    def test_three_span_rectangles(self):
+        # the demo rectangles on criterion 1's link, first order; XPolM
+        # reads SPM's table, since Y lies on X's 250 MHz lattice
+        worst = np.max(np.abs(engine_errors(THREE_SPAN_LINK, DEMO_PSD)), axis=0)
+        assert worst[0] <= 5.14e-3
+        assert worst[1] <= 9.82e-3
