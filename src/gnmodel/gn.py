@@ -25,25 +25,26 @@ follows the shape (``_cell_axis``):
   first order;
 * a shape that meets 0 continuously, with a continuous slope, at its ends
   (``PsdShape.continuous_at_ends``: a raised cosine with roll-off > 0)
-  takes cells of exactly the step, the last of which may reach past the
-  support end, where the shape is 0.  The integrand is then continuous
-  with a continuous slope across every cell, so the midpoint rule is
-  second order without aligning to the support, and output points a whole
-  number of steps apart share one lattice (below).
+  takes ceil(width/step) cells of exactly the step, the last of which may
+  reach past the support end, where the shape is 0.  The integrand is then
+  continuous with a continuous slope across every cell, so the midpoint
+  rule is second order without aligning to the support, and output points
+  a whole number of steps apart share one lattice (below).
 |eta|^2 is taken at the cell-midpoint product f1*f2 through the closed-form
 kernel.
 
 The cell axes are built once per request, and |eta|^2 is evaluated once per
-*run* of output points rather than once per point.  Moving the output point
-by a whole number of cells on both axes only slides the (f1, f2) midpoints
-along one lattice, so consecutive grid points whose shifts from the run's
-first point are whole numbers of cells (within 1e-9 of a cell width) share
-one |eta|^2 table on that lattice, and each point sums over its n1 x n2
-window of it.  A run stops growing before its table would exceed twice one
-point's n1*n2 grid.  A point at a fractional shift from the current run's
-first point starts a new run; a point that shares no lattice with a
-neighbour is a run of one, whose table is its own grid.  Runs are the unit
-of work of the thread pool, so results do not depend on the thread count.
+*run* of output points rather than once per point.  When both axes have one
+cell width, moving the output point by a whole number of cells only slides
+the (f1, f2) midpoints along one lattice, so consecutive grid points whose
+shifts from the run's first point are whole numbers of cells (within 1e-9
+of a cell width) share one |eta|^2 table on that lattice, and each point
+sums over its n1 x n2 window of it.  A run stops growing before its table
+would exceed twice one point's n1*n2 grid.  A point at a fractional shift
+from the current run's first point starts a new run; on axes of unequal
+widths every point is a run of one, whose table is its own grid.  Runs are
+the unit of work of the thread pool, so results do not depend on the thread
+count.
 
 SPM and XPolM integrate the same kernel; only their PSD factors differ.
 When XPolM's partner axis lies on the main axis's lattice (the same cell
@@ -68,23 +69,25 @@ The PSD factors are sampled once per term or run, not once per point:
   term on those n1 + n2 - 1 + (max s - min s) anti-diagonal values, and
   each point reads its n1 x n2 third factor as a zero-copy Hankel view of
   that vector (``sliding_window_view``);
-* when the widths differ, the third factor is evaluated at each point's own
-  f + f1 + f2.
+* when the widths differ, the run is one point, and the third factor is
+  evaluated at its own f + f1 + f2.
 Each point's sum a @ ((c * w) @ b), with a and b the main and partner
 vectors, c the third factor and w the |eta|^2 window, is one n1 x n2
 multiply and a matrix-vector product.
 
-A run's table is filled only where the integrand can be nonzero and some
-point reads it.  The third factor Ghat(f + f1 + f2) is exactly 0 outside its
-support (lo3, hi3), so a cell whose f1 + f2 lies outside [lo3 - max f,
-hi3 - min f] over the run's points contributes nothing at any of them: for
-rectangular spectra this band is the GN model's lozenge-shaped domain.
-For each term, each row of the table keeps the one interval of columns
-(lat2 is increasing) whose lat1 + lat2 lies in its range widened by one
-cell, which absorbs the rounding between the lattice coordinates and the
-third factor's own, cut to the hull of the columns that the term's windows
-read in that row.  The table is filled on the union of its terms'
-intervals; every other cell stays 0.  The bits cannot change:
+A run's table is filled only where some point reads a nonzero third factor.
+Each term's third factor is evaluated for the whole run before the table is
+filled, and the sums read the same arrays.  Row q of it (row q of the
+anti-diagonals' Hankel view, or of a one-point run's own n1 x n2 array) is
+nonzero only within one interval of columns [lo, hi): on the Hankel view it
+follows by index arithmetic from the first and last nonzero anti-diagonal,
+on a one-point array from the row's own first and last nonzero cell.  The
+windows that start at r, q - n1 < r <= q, read row q at table row d1 + q
+and columns d2 + r + [0, n2), where (d1, d2) is the term's first table cell,
+so the term keeps the hull of their intervals in that table row.  For
+rectangular spectra this is the GN model's lozenge-shaped domain.  The
+table is filled on the union of its terms' intervals; every other cell
+stays 0.  The bits cannot change:
 * a skipped cell that some point reads has third factor c == 0 there, so
   its product c*w is +0 whatever w holds, and every sum keeps its bits; a
   cell that no point reads is never multiplied;
@@ -136,10 +139,10 @@ class GnRequest:
     """One engine evaluation: input PSDs, kernel, grid and quadrature step.
 
     ``inner_grid_step_hz`` is the (f1, f2) cell size: a support that jumps
-    at its ends is divided into a whole number of cells of at most this
-    size, one continuous at its ends is covered by cells of exactly this
-    size (see the module docstring).  The step must not exceed 1/16 of any
-    nonzero support width.
+    at its ends is divided into ceil(width/step) equal cells, one continuous
+    at its ends is covered by as many cells of exactly this size (see the
+    module docstring).  The step must not exceed 1/16 of any nonzero
+    support width.
     """
 
     psd: DualPolPsd
@@ -210,48 +213,40 @@ def _cell_axis(shape: PsdShape, step: float):
     midpoint offsets (i + 1/2) h).
 
     A shape that jumps at its support ends gets ceil(width/step) cells that
-    divide the support exactly.  A shape continuous at its ends gets cells
-    of exactly ``step``, the last of which may reach past the support end;
-    when the width is a whole number of steps (within _WHOLE_CELL_TOL) that
-    is the support-aligned axis of that many cells.
+    divide the support exactly.  A shape continuous at its ends gets as many
+    cells of exactly ``step``, the last of which may reach past the support
+    end.
     """
     lo, hi = shape.support
     cells = max(1, int(np.ceil((hi - lo) / step)))
-    if shape.continuous_at_ends:
-        whole = _whole_cells(hi - lo, step)
-        if whole is None:
-            return lo, step, (np.arange(cells) + 0.5) * step
-        cells = max(1, whole)
-    h = (hi - lo) / cells
+    h = step if shape.continuous_at_ends else (hi - lo) / cells
     return lo, h, (np.arange(cells) + 0.5) * h
 
 
 def _runs(grid: np.ndarray, axes) -> list:
     """Split the grid into runs of consecutive points on one cell lattice.
 
-    A point joins the current run when its shift from the run's first point
-    is a whole number of cells on both axes and the run's table, n1 plus the
-    spread of the axis-1 shifts by n2 plus the spread of the axis-2 shifts,
-    stays within _TABLE_GROWTH * n1 * n2.  Returns (indices, shifts1,
-    shifts2) per run, shifts in cells from the run's first point.
+    On axes of one cell width, a point joins the current run when its shift
+    from the run's first point is a whole number of cells and the run's
+    table, n1 plus the spread of the shifts by n2 plus that spread, stays
+    within _TABLE_GROWTH * n1 * n2; on axes of unequal widths each point is
+    a run of its own.  Returns (indices, shifts) per run, shifts in cells
+    from the run's first point.
     """
     (_, h1, off1), (_, h2, off2) = axes
     n1, n2 = off1.size, off2.size
     runs = []
     for k in range(grid.size):
-        if runs:
-            idx, s1, s2 = runs[-1]
-            shift = grid[k] - grid[idx[0]]
-            c1, c2 = _whole_cells(shift, h1), _whole_cells(shift, h2)
-            if c1 is not None and c2 is not None:
-                rows = n1 + max(max(s1), c1) - min(min(s1), c1)
-                cols = n2 + max(max(s2), c2) - min(min(s2), c2)
-                if rows * cols <= _TABLE_GROWTH * n1 * n2:
+        if runs and h1 == h2:
+            idx, shifts = runs[-1]
+            c = _whole_cells(grid[k] - grid[idx[0]], h1)
+            if c is not None:
+                spread = max(max(shifts), c) - min(min(shifts), c)
+                if (n1 + spread) * (n2 + spread) <= _TABLE_GROWTH * n1 * n2:
                     idx.append(k)
-                    s1.append(c1)
-                    s2.append(c2)
+                    shifts.append(c)
                     continue
-        runs.append(([k], [0], [0]))
+        runs.append(([k], [0]))
     return runs
 
 
@@ -279,11 +274,12 @@ def _tables(terms) -> list:
 
 def _eta2_table(kernel, lat1, lat2, intervals, block_size):
     """|eta(f1 f2)|^2 on the lattice lat1 x lat2 in the union of the terms'
-    cells, 0 elsewhere.  Each entry of ``intervals`` holds one term's column
-    interval [start[r], stop[r]) of each row r.  The table is filled as the
-    module docstring describes: broadcast constant, or in row blocks of at
-    most ``block_size`` cells; when the axes are equal, the union is closed
-    under transposition and its upper triangle evaluated and mirrored."""
+    cells, 0 elsewhere.  Each entry (row, start, stop) of ``intervals`` holds
+    one term's column interval [start[q], stop[q]) of table row row + q.  The
+    table is filled as the module docstring describes: broadcast constant,
+    or in row blocks of at most ``block_size`` cells; when the axes are
+    equal, the union is closed under transposition and its upper triangle
+    evaluated and mirrored."""
     shape = (lat1.size, lat2.size)
     if kernel.flat:
         eta = normalized_kernel_grid(kernel, lat1[:1] * lat2[:1])
@@ -291,8 +287,9 @@ def _eta2_table(kernel, lat1, lat2, intervals, block_size):
     symmetric = np.array_equal(lat1, lat2)
     columns = np.arange(lat2.size)
     cells = np.zeros(shape, dtype=bool)
-    for start, stop in intervals:
-        cells |= (start[:, None] <= columns) & (columns < stop[:, None])
+    for row, start, stop in intervals:
+        cells[row:row + start.size] |= ((start[:, None] <= columns)
+                                        & (columns < stop[:, None]))
     if symmetric:
         cells |= cells.T
         cells &= columns[:, None] <= columns
@@ -306,16 +303,6 @@ def _eta2_table(kernel, lat1, lat2, intervals, block_size):
         if symmetric:
             table[:, r:r + block].T[band] = values
     return table
-
-
-def _read_columns(first1, first2, n1, n2, rows):
-    """Per table row, the hull [start, stop) of the columns that the n1 x n2
-    windows at (first1, first2) read in it; an empty interval for a row that
-    no window reads."""
-    row = np.arange(rows)[:, None]
-    inside = (first1 <= row) & (row < first1 + n1)
-    return (np.where(inside, first2, first2.max()).min(axis=1),
-            np.where(inside, first2 + n2, 0).max(axis=1))
 
 
 class _Term(NamedTuple):
@@ -334,61 +321,61 @@ def _integrate_run(kernel, axes, terms, grid, run) -> list:
     """Each term's integral at every point f of one run, from one |eta|^2
     table on the run's lattice; ``axes`` are the table's cell axes."""
     rows, cols = (off.size for _, _, off in axes)
-    idx, s1, s2 = run
+    idx, shifts = run
     f0 = float(grid[idx[0]])
-    top1, top2 = max(s1), max(s2)
-    # the window of the point shifted by (c1, c2) cells starts top1 - c1
-    # cells after the run's first cell of the term's main axis, and top2 - c2
-    # after that of its partner axis
-    shift1, shift2 = top1 - np.array(s1), top2 - np.array(s2)
+    top, spread = max(shifts), max(shifts) - min(shifts)
+    # the window of the point shifted by c cells starts top - c cells after
+    # the run's first cell on both of a term's axes
+    starts = top - np.array(shifts)
     # lattice coordinates relative to the first point, from the first term's
     # axis starts
     (lo1, h1, _), (lo2, h2, _) = terms[0].axes
     d1, d2 = terms[0].cells
-    lat1 = (lo1 - f0) + (np.arange(rows + top1 - min(s1)) - d1 + 0.5
-                         - top1) * h1
-    lat2 = (lo2 - f0) + (np.arange(cols + top2 - min(s2)) - d2 + 0.5
-                         - top2) * h2
-    # f + f1 + f2 of any point lies within [lo3, hi3] only on a term's band,
-    # and of its columns a row needs only those that some window reads
-    points = grid[idx]
-    intervals = []
-    for term in terms:
-        (_, h1, off1), (_, h2, off2) = term.axes
-        d1, d2 = term.cells
-        lo3, hi3 = term.third.support
-        margin = max(h1, h2)
-        start, stop = _read_columns(d1 + shift1, d2 + shift2, off1.size,
-                                    off2.size, lat1.size)
-        intervals.append((
-            np.maximum(start, np.searchsorted(
-                lat2, lo3 - points.max() - margin - lat1, side="left")),
-            np.minimum(stop, np.searchsorted(
-                lat2, hi3 - points.min() + margin - lat1, side="right"))))
-    table = _eta2_table(kernel, lat1, lat2, intervals, rows * cols)
-    results = []
+    lat1 = (lo1 - f0) + (np.arange(rows + spread) - d1 + 0.5 - top) * h1
+    lat2 = (lo2 - f0) + (np.arange(cols + spread) - d2 + 0.5 - top) * h2
+    thirds, intervals = [], []
     for term in terms:
         (lo1, h1, off1), (lo2, h2, off2) = term.axes
-        (a, b), (d1, d2) = term.factors, term.cells
         n1, n2 = off1.size, off2.size
+        q = np.arange(n1 + spread)
         if h1 == h2:
             # cell (i, j) of the point shifted by c cells sits at f + f1 + f2 =
-            # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals,
-            # read by each point through a Hankel view
-            diagonals = np.arange(n1 + n2 - 1 + top1 - min(s1)) + 1 - top1
-            hankel = sliding_window_view(
-                term.third.evaluate((lo1 + lo2 - f0) + diagonals * h1), n2)
-        values = np.empty(len(idx))
-        for j, (k, r, c) in enumerate(zip(idx, shift1, shift2)):
-            if h1 == h2:
-                third_factor = hankel[r:r + n1]
-            else:
-                f = float(grid[k])
-                third_factor = term.third.evaluate(
-                    f + ((lo1 - f) + off1)[:, None] + ((lo2 - f) + off2))
-            weight = table[d1 + r:d1 + r + n1, d2 + c:d2 + c + n2]
-            values[j] = h1 * h2 * (a @ ((third_factor * weight) @ b))
-        results.append(values)
+            # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals;
+            # row q of their Hankel view holds diagonals q .. q + n2 - 1
+            diagonals = term.third.evaluate((lo1 + lo2 - f0) + (
+                np.arange(n1 + n2 - 1 + spread) + 1 - top) * h1)
+            third = sliding_window_view(diagonals, n2)
+            nonzero = np.flatnonzero(diagonals)
+            first, last = nonzero[[0, -1]] if nonzero.size else (0, -1)
+            lo, hi = np.maximum(first - q, 0), np.minimum(last + 1 - q, n2)
+        else:
+            # a run of one point: the third factor at its own f + f1 + f2
+            third = term.third.evaluate(
+                f0 + ((lo1 - f0) + off1)[:, None] + ((lo2 - f0) + off2))
+            nonzero = third != 0
+            lo = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n2)
+            hi = n2 - nonzero[:, ::-1].argmax(axis=1)
+        # row q's nonzero columns are [lo, hi); the windows that start at r,
+        # q - n1 < r <= q, read it at table row d1 + q, columns d2 + r + [0,
+        # n2), so the row is filled on the hull of their nonzero columns
+        inside = (starts <= q[:, None]) & (q[:, None] < starts + n1)
+        keep = inside.any(axis=1) & (lo < hi)
+        d1, d2 = term.cells
+        start = d2 + lo + np.where(inside, starts, spread).min(axis=1)
+        stop = d2 + hi + np.where(inside, starts, 0).max(axis=1)
+        intervals.append((d1, np.where(keep, start, 0),
+                          np.where(keep, stop, 0)))
+        thirds.append(third)
+    table = _eta2_table(kernel, lat1, lat2, intervals, rows * cols)
+    results = []
+    for term, third in zip(terms, thirds):
+        (_, h1, off1), (_, h2, off2) = term.axes
+        (a, b), (d1, d2) = term.factors, term.cells
+        n1, n2 = off1.size, off2.size
+        results.append(np.array([
+            h1 * h2 * (a @ ((third[r:r + n1] * table[d1 + r:d1 + r + n1,
+                                                     d2 + r:d2 + r + n2]) @ b))
+            for r in starts]))
     return results
 
 

@@ -167,7 +167,7 @@ class TestIndependentReassembly:
         for shapes in ((gx, gx), (gx, self.gy)):
             axes = [_cell_axis(shape, self.step) for shape in shapes]
             runs = _runs(grid, axes)
-            assert len(runs) >= 3 and all(len(idx) > 1 for idx, _, _ in runs)
+            assert len(runs) >= 3 and all(len(idx) > 1 for idx, _ in runs)
         result = nli_psd_x(GnRequest(psd=psd, kernel=self.kernel,
                                      output_grid_hz=grid,
                                      inner_grid_step_hz=self.step))
@@ -181,7 +181,7 @@ class TestIndependentReassembly:
         grid = np.array([0.0, -0.5e9, -1.0e9, 0.13e9, 0.38e9, 0.63e9, 1.0e9])
         for shape in (self.gy, self.gx):
             runs = _runs(grid, [_cell_axis(shape, self.step)] * 2)
-            assert [idx for idx, _, _ in runs] == [[0, 1, 2], [3, 4, 5], [6]]
+            assert [idx for idx, _ in runs] == [[0, 1, 2], [3, 4, 5], [6]]
         self.assert_terms_match(y_polarization(self.request(grid)), self.gy,
                                 self.gx)
         self.assert_terms_match(nli_psd_x(self.request(grid)), self.gx, self.gy)
@@ -318,7 +318,8 @@ LATTICE_STEP = 2.0**28
 def small_gn_inputs(draw):
     """Small raised-cosine, rectangular and tabulated requests on the three
     links; the grid step is sometimes a whole number of cells, so runs share
-    tables.  A table's end values are not zero, so it jumps at both ends.
+    tables.  A table's nodes are often 0, inside it (holes) and at its ends,
+    so its third factor is 0 on parts of its support as well as outside.
 
     In a third of the cases Y lies on X's cell lattice (cells of
     LATTICE_STEP, support starts a whole number of cells apart) and reaches
@@ -326,6 +327,8 @@ def small_gn_inputs(draw):
     reads cells that SPM does not: a rectangle or tabulated shape spans a
     whole number of cells, a raised cosine half a cell more, so it takes
     cells of exactly the step."""
+    node_values = st.floats(0.1, 2.0) | st.just(0.0)
+
     def lattice_shape(lo, cells):
         kind = draw(st.sampled_from(["rectangular", "raised_cosine",
                                      "tabulated"]))
@@ -334,8 +337,8 @@ def small_gn_inputs(draw):
             width = cells * LATTICE_STEP
             return RectangularPsd(lo + 0.5 * width, width, height)
         if kind == "tabulated":
-            values = draw(st.lists(st.floats(0.1, 2.0), min_size=2,
-                                   max_size=9))
+            values = draw(st.lists(node_values, min_size=2, max_size=9)
+                          .filter(any))
             return TabulatedPsd(
                 lo + cells * LATTICE_STEP * np.linspace(0.0, 1.0, len(values)),
                 height * np.array(values))
@@ -354,8 +357,8 @@ def small_gn_inputs(draw):
             return RectangularPsd(center, bandwidth, height)
         if kind == "tabulated":
             nodes = draw(st.integers(2, 9))
-            values = draw(st.lists(st.floats(0.1, 2.0), min_size=nodes,
-                                   max_size=nodes))
+            values = draw(st.lists(node_values, min_size=nodes,
+                                   max_size=nodes).filter(any))
             return TabulatedPsd(
                 center + bandwidth * np.linspace(-0.5, 0.5, nodes),
                 height * np.array(values))
@@ -423,26 +426,74 @@ class TestTableFillBitContract:
             nli_psd_x(req)
         assert len(runs) == len(tables) > 0
         for (terms, grid, run), table in zip(runs, tables):
-            idx, s1, s2 = run
-            top1, top2 = max(s1), max(s2)
+            idx, shifts = run
+            top = max(shifts)
             f0 = float(grid[idx[0]])
             for term in terms:
                 (lo1, h1, off1), (lo2, h2, off2) = term.axes
                 d1, d2 = term.cells
-                for k, c1, c2 in zip(idx, s1, s2):
+                for k, shift in zip(idx, shifts):
                     if h1 == h2:
                         diagonal = np.arange(off1.size)[:, None] \
-                            + np.arange(off2.size) + 1 - c1
+                            + np.arange(off2.size) + 1 - shift
                         c = term.third.evaluate((lo1 + lo2 - f0)
                                                 + diagonal * h1)
                     else:
                         f = float(grid[k])
                         c = term.third.evaluate(f + ((lo1 - f) + off1)[:, None]
                                                 + ((lo2 - f) + off2))
-                    window = table[d1 + top1 - c1:d1 + top1 - c1 + off1.size,
-                                   d2 + top2 - c2:d2 + top2 - c2 + off2.size]
+                    r = top - shift
+                    window = table[d1 + r:d1 + r + off1.size,
+                                   d2 + r:d2 + r + off2.size]
                     assert window.shape == c.shape
                     assert np.all(c[window == 0] == 0)
+
+    def test_runs_that_read_only_zero_third_factors_evaluate_nothing(self):
+        # X rectangular on [-2, 2] GHz; Y tabulated on [-8, 8] GHz, on X's
+        # 250 MHz lattice, 0 at -8 and -4 GHz and from -1 GHz up.  At f = -9
+        # and -8.75 GHz every cell that a window reads has f + f1 + f2 above
+        # X's support and at or above -1 GHz, so both terms are +0 and their
+        # run evaluates no kernel product (470 on the band of the supports
+        # widened by a cell); at 7-7.5 GHz SPM is +0 and XPolM reads Y's
+        # nonzero part
+        gx = RectangularPsd(0.0, 4e9, 1.0)
+        gy = TabulatedPsd(np.array([-8, -6, -4, -2, -1, 8]) * 1e9,
+                          np.array([0, 1, 0, 1, 0, 0.0]))
+        kernel = KernelModel(link=LINKS["single"])
+        grid = np.array([-9, -8.75, 0, 7, 7.25, 7.5]) * 1e9
+        req = GnRequest(psd=DualPolPsd(gx, gy, 1e-3), kernel=kernel,
+                        output_grid_hz=grid, inner_grid_step_hz=0.25e9)
+        products, counted = {}, []
+
+        def recording_run(kernel, axes, terms, grid, run):
+            counted.clear()
+            values = integrate_run(kernel, axes, terms, grid, run)
+            products[tuple(run[0])] = sum(counted)
+            return values
+
+        def counting(kernel, F):
+            counted.append(np.size(F))
+            return normalized_kernel_grid(kernel, F)
+
+        integrate_run = gn._integrate_run
+        with mock.patch.object(gn, "_integrate_run", recording_run), \
+                mock.patch.object(gn, "normalized_kernel_grid", counting):
+            result = nli_psd_x(req)
+        assert products[0, 1] == 0
+        assert 0 < products[3, 4, 5] <= 411
+        outer = [0, 1, 3, 4, 5]
+        assert np.all(result.spm[outer] == 0.0)
+        assert not np.any(np.signbit(result.spm[outer]))
+        assert np.all(result.xpolm[:2] == 0.0)
+        assert not np.any(np.signbit(result.xpolm[:2]))
+        assert np.all(result.xpolm[3:] > 0)
+        for i, f in enumerate(grid):
+            assert result.xpolm[i] == pytest.approx(
+                brute_force_term(kernel, gx, gy, gy, f, 0.25e9), rel=1e-9)
+        with mock.patch.object(gn, "_eta2_table", deduplicated_row_block_table):
+            reference = nli_psd_x(req)
+        np.testing.assert_array_equal(result.spm, reference.spm)
+        np.testing.assert_array_equal(result.xpolm, reference.xpolm)
 
 
 class TestPowerScaling:
@@ -518,21 +569,24 @@ class TestWorkCount:
     The demo ``psd``: 133,583 products when every cell was filled, 81,355
     on the band, 72,890 in 8 tables on the band cells that some point's
     window reads, 31,438 in 4 tables once XPolM reads SPM's table (Y lies
-    on X's lattice); a fill that evaluates cells no point reads, or a table
-    per term, fails.  The GN prediction of the demo ``montecarlo``: 353,857
-    products in 11 tables with a table per term, 154,738 in 5 shared ones.
-    The 3-span raised-cosine request: 162 one-point tables and 891,693
-    products on support-aligned cells of 248.4 MHz, 8 tables and 87,758
-    products on cells of the 250 MHz step, 78,465 on the read band cells;
-    an axis whose cells the 0.5 GHz output spacing does not divide fails.
+    on X's lattice), 30,697 once a row is filled only where some window
+    reads a nonzero third factor (the band widened by one cell took 31,438);
+    a fill that evaluates cells no point reads as nonzero, or a table per
+    term, fails.  The GN prediction of the demo ``montecarlo``: 353,857
+    products in 11 tables with a table per term, 154,738 in 5 shared ones,
+    145,644 on the nonzero read cells.  The 3-span raised-cosine request:
+    162 one-point tables and 891,693 products on support-aligned cells of
+    248.4 MHz, 8 tables and 87,758 products on cells of the 250 MHz step,
+    78,465 on the read band cells, 76,365 on the nonzero read cells; an axis
+    whose cells the 0.5 GHz output spacing does not divide fails.
     Its X and Y supports start 13.6 cells apart, so each term keeps its own
     tables."""
 
     DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
-    DEMO_PSD_PRODUCTS = 31_438
+    DEMO_PSD_PRODUCTS = 30_697
     DEMO_PSD_TABLES = 4
-    DEMO_MONTECARLO_PRODUCTS = 154_738
-    RC_PSD_PRODUCTS = 78_465
+    DEMO_MONTECARLO_PRODUCTS = 145_644
+    RC_PSD_PRODUCTS = 76_365
     RC_PSD_TABLES = 8
 
     def count(self, config, tmp_path, *argv):
@@ -629,7 +683,13 @@ class TestUnequalCellWidths:
     factor is taken on anti-diagonals; at f = 0 the 62nd of them lies on
     the X support's lower edge in exact arithmetic, where the anti-diagonal
     value is 0, as the strict edge test gives, while the point's own sums
-    round 10 of its cells inside.  SPM is compared off that edge only."""
+    round 10 of its cells inside.  SPM is compared off that edge only.
+
+    Each one-point table is filled only on the columns where the point's
+    own third factor is nonzero: 773,890 kernel products, 787,158 on the
+    band of the supports widened by one cell; filling whole windows fails."""
+
+    PRODUCTS = 773_890
 
     def test_engine_matches_per_element_reassembly(self):
         kernel = KernelModel(link=LINKS["three"])
@@ -641,9 +701,17 @@ class TestUnequalCellWidths:
         assert axes[0][1] != axes[1][1]
         assert len(_runs(grid, (axes[0], axes[0]))) == len(_runs(grid, axes)) \
             == grid.size
-        result = nli_psd_x(GnRequest(psd=DualPolPsd(gx, gy, 1e-3),
-                                     kernel=kernel, output_grid_hz=grid,
-                                     inner_grid_step_hz=step))
+        counted = []
+
+        def counting(kernel, F):
+            counted.append(np.size(F))
+            return normalized_kernel_grid(kernel, F)
+
+        with mock.patch.object(gn, "normalized_kernel_grid", counting):
+            result = nli_psd_x(GnRequest(psd=DualPolPsd(gx, gy, 1e-3),
+                                         kernel=kernel, output_grid_hz=grid,
+                                         inner_grid_step_hz=step))
+        assert 0 < sum(counted) <= self.PRODUCTS
         for i, f in enumerate(grid):
             spm = 2.0 * per_element_term(kernel, (gx, gx, gx),
                                          (axes[0], axes[0]), f)
@@ -687,7 +755,9 @@ PSD_SCRIPT = textwrap.dedent("""
 def test_psd_bits_do_not_depend_on_threads_or_blas_pool(tmp_path):
     # each point's sum is a GEMV, which a BLAS pool of 2 may split between
     # BLAS threads in a serial run; the worker pool pins BLAS to one
-    configs = []
+    # on the dispersion-free link, the per-term tables of the raised cosines
+    # and the one table that the demo's rectangles share
+    configs = [TestWorkCount.DEMO]
     for name, text in (("zero_dispersion", ZERO_DISPERSION_YAML),
                        ("three_span_rc", THREE_SPAN_RC_YAML)):
         configs.append(tmp_path / f"{name}.yaml")
