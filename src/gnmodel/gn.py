@@ -77,25 +77,23 @@ multiply and a matrix-vector product.
 
 A run's table is filled only where some point reads a nonzero third factor.
 Each term's third factor is evaluated for the whole run before the table is
-filled, and the sums read the same arrays.  Row q of it (row q of the
-anti-diagonals' Hankel view, or of a one-point run's own n1 x n2 array) is
-nonzero only within one interval of columns [lo, hi): on the Hankel view it
-follows by index arithmetic from the first and last nonzero anti-diagonal,
-on a one-point array from the row's own first and last nonzero cell.  The
-windows that start at r, q - n1 < r <= q, read row q at table row d1 + q
-and columns d2 + r + [0, n2), where (d1, d2) is the term's first table cell,
-so the term keeps the hull of their intervals in that table row.  For
-rectangular spectra this is the GN model's lozenge-shaped domain.  The
-table is filled on the union of its terms' intervals; every other cell
-stays 0.  The bits cannot change:
-* a skipped cell that some point reads has third factor c == 0 there, so
-  its product c*w is +0 whatever w holds, and every sum keeps its bits; a
-  cell that no point reads is never multiplied;
+filled, and the sums read the same arrays.  The window that starts r cells
+into the run reads rows r .. r + n1 - 1 of the term's third factor (of the
+anti-diagonals' Hankel view, or of a one-point run's own n1 x n2 array) at
+the table cells (d1 + r, d2 + r) onwards, where (d1, d2) is the term's first
+table cell.  A table cell is filled if and only if some window of some
+term reads it (or, on equal axes, its transpose) against a nonzero third
+factor; for rectangular spectra this is the GN model's lozenge-shaped
+domain.  Every other cell stays 0.  The bits cannot change:
+* a cell that is not evaluated is read only against a third factor c of
+  exactly +0 or -0, so each of its products c*w is 0 with the sign of c,
+  whatever finite w >= 0 holds, and every sum keeps its bits; a cell that
+  no point reads is never multiplied;
 * eta of an array is elementwise to the bit at any array length
   (``normalized_kernel_grid``), so the cells that are evaluated keep
   theirs.  When the axes are equal (every SPM table, and every shared
-  one), f1 f2 == f2 f1 exactly, so only the union's upper triangle is
-  evaluated and the values are mirrored.  The union is first closed under
+  one), f1 f2 == f2 f1 exactly, so only the upper triangle of the cells is
+  evaluated and the values are mirrored.  The cells are first closed under
   transposition: an XPolM window is not symmetric, and the mirror fills
   its cells below the diagonal only from their transposes;
 * the cells are marked once per table, one byte each, and evaluated one
@@ -272,27 +270,29 @@ def _tables(terms) -> list:
     return [(term.axes, [term]) for term in terms]
 
 
-def _eta2_table(kernel, lat1, lat2, intervals, block_size):
-    """|eta(f1 f2)|^2 on the lattice lat1 x lat2 in the union of the terms'
-    cells, 0 elsewhere.  Each entry (row, start, stop) of ``intervals`` holds
-    one term's column interval [start[q], stop[q]) of table row row + q.  The
-    table is filled as the module docstring describes: broadcast constant,
-    or in row blocks of at most ``block_size`` cells; when the axes are
-    equal, the union is closed under transposition and its upper triangle
-    evaluated and mirrored."""
+def _eta2_table(kernel, lat1, lat2, starts, patterns, block_size):
+    """|eta(f1 f2)|^2 on the lattice lat1 x lat2 where some window reads a
+    nonzero third factor, 0 elsewhere.  Each entry ((d1, d2), n1, nonzero) of
+    ``patterns`` holds one term's first table cell, its window height and
+    where its third factor is nonzero; the window that starts at r in
+    ``starts`` reads nonzero[r:r + n1] at table cells (d1 + r, d2 + r)
+    onwards.  The table is filled as the module docstring describes:
+    broadcast constant, or in row blocks of at most ``block_size`` cells;
+    when the axes are equal, the cells are closed under transposition and
+    their upper triangle evaluated and mirrored."""
     shape = (lat1.size, lat2.size)
     if kernel.flat:
         eta = normalized_kernel_grid(kernel, lat1[:1] * lat2[:1])
         return np.broadcast_to(eta.real**2 + eta.imag**2, shape)
-    symmetric = np.array_equal(lat1, lat2)
-    columns = np.arange(lat2.size)
     cells = np.zeros(shape, dtype=bool)
-    for row, start, stop in intervals:
-        cells[row:row + start.size] |= ((start[:, None] <= columns)
-                                        & (columns < stop[:, None]))
+    for (d1, d2), n1, nonzero in patterns:
+        n2 = nonzero.shape[1]
+        for r in starts:
+            cells[d1 + r:d1 + r + n1, d2 + r:d2 + r + n2] |= nonzero[r:r + n1]
+    symmetric = np.array_equal(lat1, lat2)
     if symmetric:
         cells |= cells.T
-        cells &= columns[:, None] <= columns
+        cells = np.triu(cells)
     table = np.zeros(shape)
     block = max(1, block_size // lat2.size)
     for r in range(0, lat1.size, block):
@@ -333,40 +333,25 @@ def _integrate_run(kernel, axes, terms, grid, run) -> list:
     d1, d2 = terms[0].cells
     lat1 = (lo1 - f0) + (np.arange(rows + spread) - d1 + 0.5 - top) * h1
     lat2 = (lo2 - f0) + (np.arange(cols + spread) - d2 + 0.5 - top) * h2
-    thirds, intervals = [], []
+    thirds, patterns = [], []
     for term in terms:
         (lo1, h1, off1), (lo2, h2, off2) = term.axes
-        n1, n2 = off1.size, off2.size
-        q = np.arange(n1 + spread)
         if h1 == h2:
             # cell (i, j) of the point shifted by c cells sits at f + f1 + f2 =
-            # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals;
-            # row q of their Hankel view holds diagonals q .. q + n2 - 1
+            # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals,
+            # read through their Hankel view
             diagonals = term.third.evaluate((lo1 + lo2 - f0) + (
-                np.arange(n1 + n2 - 1 + spread) + 1 - top) * h1)
-            third = sliding_window_view(diagonals, n2)
-            nonzero = np.flatnonzero(diagonals)
-            first, last = nonzero[[0, -1]] if nonzero.size else (0, -1)
-            lo, hi = np.maximum(first - q, 0), np.minimum(last + 1 - q, n2)
+                np.arange(off1.size + off2.size - 1 + spread) + 1 - top) * h1)
+            third, nonzero = (sliding_window_view(v, off2.size)
+                              for v in (diagonals, diagonals != 0))
         else:
             # a run of one point: the third factor at its own f + f1 + f2
             third = term.third.evaluate(
                 f0 + ((lo1 - f0) + off1)[:, None] + ((lo2 - f0) + off2))
             nonzero = third != 0
-            lo = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n2)
-            hi = n2 - nonzero[:, ::-1].argmax(axis=1)
-        # row q's nonzero columns are [lo, hi); the windows that start at r,
-        # q - n1 < r <= q, read it at table row d1 + q, columns d2 + r + [0,
-        # n2), so the row is filled on the hull of their nonzero columns
-        inside = (starts <= q[:, None]) & (q[:, None] < starts + n1)
-        keep = inside.any(axis=1) & (lo < hi)
-        d1, d2 = term.cells
-        start = d2 + lo + np.where(inside, starts, spread).min(axis=1)
-        stop = d2 + hi + np.where(inside, starts, 0).max(axis=1)
-        intervals.append((d1, np.where(keep, start, 0),
-                          np.where(keep, stop, 0)))
         thirds.append(third)
-    table = _eta2_table(kernel, lat1, lat2, intervals, rows * cols)
+        patterns.append((term.cells, off1.size, nonzero))
+    table = _eta2_table(kernel, lat1, lat2, starts, patterns, rows * cols)
     results = []
     for term, third in zip(terms, thirds):
         (_, h1, off1), (_, h2, off2) = term.axes

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pool_env
@@ -285,11 +285,12 @@ class TestEngineContracts:
             self.request(inner_grid_step_hz=0.0)
 
 
-def deduplicated_row_block_table(kernel, lat1, lat2, intervals, block_size):
+def deduplicated_row_block_table(kernel, lat1, lat2, starts, patterns,
+                                 block_size):
     """The |eta|^2 table fill the engine replaced: row blocks of at most
     ``block_size`` elements, each deduplicated through ``np.unique``, with
-    no band (``intervals`` is not read), no triangle and no dispersion-free
-    shortcut."""
+    no band (``starts`` and ``patterns`` are not read), no triangle and no
+    dispersion-free shortcut."""
     table = np.empty((lat1.size, lat2.size))
     block = max(1, block_size // lat2.size)
     for r in range(0, lat1.size, block):
@@ -388,6 +389,40 @@ def small_gn_inputs(draw):
                      output_grid_hz=grid, inner_grid_step_hz=step)
 
 
+def gapped_request(psd, grid_ghz, step):
+    return GnRequest(psd=psd, kernel=KernelModel(link=LINKS["three"]),
+                     output_grid_hz=np.asarray(grid_ghz) * 1e9,
+                     inner_grid_step_hz=step)
+
+
+# requests whose windows leave cells with a zero third factor between them
+# (points several cells apart) or inside them (a tabulated hole), so that
+# filling each table row on the hull of its nonzero read cells evaluates
+# cells that no window reads as nonzero; all three are on criterion 1's
+# 3-span link
+
+# the demo rectangles on the GN grid of the demo montecarlo: 65 points 1 GHz
+# apart on cells of 125 MHz, 8 cells apart; the row hulls evaluated 672 more
+# cells in the first table
+GAPPED_DEMO_MONTECARLO = gapped_request(
+    DualPolPsd(RectangularPsd(0.0, 31e9, 1.0),
+               RectangularPsd(0.0, 21e9, 0.6), 1e-3),
+    np.arange(-32, 33), 0.125e9)
+# a tabulated Y that is 0 from -4 to -3 GHz, inside its support; the row
+# hulls evaluated 100 and 110 more cells in the two shared tables
+GAPPED_TABULATED_HOLE = gapped_request(
+    DualPolPsd(RectangularPsd(0.0, 4e9, 1.0),
+               TabulatedPsd(np.array([-8, -6, -4, -3, -2, -1, 8]) * 1e9,
+                            np.array([0, 1, 0, 0, 1, 0, 0.0])), 1e-3),
+    [-9, -8.75, 0, 0.25, 0.5, 7, 7.25, 7.5], 0.25e9)
+# the three_span_rc raised cosines, 4 cells of the step apart; the row hulls
+# evaluated 60 more cells in the first table
+GAPPED_RAISED_COSINE = gapped_request(
+    DualPolPsd(RaisedCosinePsd(0.0, 28e9, 0.1, 1.0),
+               RaisedCosinePsd(0.0, 20e9, 0.2, 0.6), 1e-3),
+    np.arange(-20, 21), 0.25e9)
+
+
 class TestTableFillBitContract:
     @settings(max_examples=60)
     @given(req=small_gn_inputs())
@@ -401,22 +436,31 @@ class TestTableFillBitContract:
 
     @settings(max_examples=60)
     @given(req=small_gn_inputs())
+    @example(req=GAPPED_DEMO_MONTECARLO)
+    @example(req=GAPPED_TABULATED_HOLE)
+    @example(req=GAPPED_RAISED_COSINE)
     def test_unevaluated_cells_have_zero_third_factor(self, req):
-        # eta is replaced by ones, so a table cell reads 1 where the fill
-        # evaluated or mirrored it and 0 where it left it; every window of
-        # every term that reads a run's table then evaluates its third
-        # factor exactly as _integrate_run does: on the run's anti-diagonals
-        # when both cell widths are equal, else at the point's own
-        # f + f1 + f2
+        # and every evaluated cell is read against a nonzero one, so the
+        # fill evaluates exactly the read cells.  eta is replaced by ones, so
+        # a table cell reads 1 where the fill evaluated or mirrored it and 0
+        # where it left it; a dispersion-free table is a broadcast constant
+        # and is skipped.  A cell is read when some window of some term
+        # multiplies it by a nonzero third factor, which each window
+        # evaluates from the term's axes as _integrate_run does: on the
+        # run's anti-diagonals when both cell widths are equal, else at the
+        # point's own f + f1 + f2.  The read cells are closed under
+        # transposition when the table's axes are equal.
+        if req.kernel.flat:
+            return
         runs, tables = [], []
 
         def recording_run(kernel, axes, terms, grid, run):
             runs.append((terms, grid, run))
             return integrate_run(kernel, axes, terms, grid, run)
 
-        def recording_table(*args):
-            tables.append(eta2_table(*args))
-            return tables[-1]
+        def recording_table(kernel, lat1, lat2, *args):
+            tables.append((lat1, lat2, eta2_table(kernel, lat1, lat2, *args)))
+            return tables[-1][2]
 
         integrate_run, eta2_table = gn._integrate_run, gn._eta2_table
         with mock.patch.object(gn, "_integrate_run", recording_run), \
@@ -425,10 +469,11 @@ class TestTableFillBitContract:
                                   lambda kernel, F: np.ones(F.shape)):
             nli_psd_x(req)
         assert len(runs) == len(tables) > 0
-        for (terms, grid, run), table in zip(runs, tables):
+        for (terms, grid, run), (lat1, lat2, table) in zip(runs, tables):
             idx, shifts = run
             top = max(shifts)
             f0 = float(grid[idx[0]])
+            read = np.zeros(table.shape, dtype=bool)
             for term in terms:
                 (lo1, h1, off1), (lo2, h2, off2) = term.axes
                 d1, d2 = term.cells
@@ -443,10 +488,13 @@ class TestTableFillBitContract:
                         c = term.third.evaluate(f + ((lo1 - f) + off1)[:, None]
                                                 + ((lo2 - f) + off2))
                     r = top - shift
-                    window = table[d1 + r:d1 + r + off1.size,
-                                   d2 + r:d2 + r + off2.size]
+                    window = read[d1 + r:d1 + r + off1.size,
+                                  d2 + r:d2 + r + off2.size]
                     assert window.shape == c.shape
-                    assert np.all(c[window == 0] == 0)
+                    window |= c != 0
+            if np.array_equal(lat1, lat2):
+                read |= read.T
+            np.testing.assert_array_equal(table != 0, read)
 
     def test_runs_that_read_only_zero_third_factors_evaluate_nothing(self):
         # X rectangular on [-2, 2] GHz; Y tabulated on [-8, 8] GHz, on X's
@@ -480,7 +528,7 @@ class TestTableFillBitContract:
                 mock.patch.object(gn, "normalized_kernel_grid", counting):
             result = nli_psd_x(req)
         assert products[0, 1] == 0
-        assert 0 < products[3, 4, 5] <= 411
+        assert 0 < products[3, 4, 5] <= 410
         outer = [0, 1, 3, 4, 5]
         assert np.all(result.spm[outer] == 0.0)
         assert not np.any(np.signbit(result.spm[outer]))
@@ -569,24 +617,27 @@ class TestWorkCount:
     The demo ``psd``: 133,583 products when every cell was filled, 81,355
     on the band, 72,890 in 8 tables on the band cells that some point's
     window reads, 31,438 in 4 tables once XPolM reads SPM's table (Y lies
-    on X's lattice), 30,697 once a row is filled only where some window
-    reads a nonzero third factor (the band widened by one cell took 31,438);
-    a fill that evaluates cells no point reads as nonzero, or a table per
-    term, fails.  The GN prediction of the demo ``montecarlo``: 353,857
-    products in 11 tables with a table per term, 154,738 in 5 shared ones,
-    145,644 on the nonzero read cells.  The 3-span raised-cosine request:
-    162 one-point tables and 891,693 products on support-aligned cells of
-    248.4 MHz, 8 tables and 87,758 products on cells of the 250 MHz step,
-    78,465 on the read band cells, 76,365 on the nonzero read cells; an axis
-    whose cells the 0.5 GHz output spacing does not divide fails.
+    on X's lattice), 30,697 with each row filled on the hull of its cells
+    that windows read as nonzero (the band widened by one cell took
+    31,438), 30,680 on the cells that some window reads against a nonzero
+    third factor; a fill that evaluates other cells, or a table per term,
+    fails.  The GN prediction of the demo ``montecarlo``: 353,857 products
+    in 11 tables with a table per term, 154,738 in 5 shared ones, 145,644
+    on the row hulls of the nonzero read cells, 144,784 on those cells.
+    The 3-span raised-cosine request: 162 one-point tables and 891,693
+    products on support-aligned cells of 248.4 MHz, 8 tables and 87,758
+    products on cells of the 250 MHz step, 78,465 on the read band cells,
+    76,365 on the row hulls of the nonzero read cells, 76,303 on those
+    cells; an axis whose cells the 0.5 GHz output spacing does not divide
+    fails.
     Its X and Y supports start 13.6 cells apart, so each term keeps its own
     tables."""
 
     DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
-    DEMO_PSD_PRODUCTS = 30_697
+    DEMO_PSD_PRODUCTS = 30_680
     DEMO_PSD_TABLES = 4
-    DEMO_MONTECARLO_PRODUCTS = 145_644
-    RC_PSD_PRODUCTS = 76_365
+    DEMO_MONTECARLO_PRODUCTS = 144_784
+    RC_PSD_PRODUCTS = 76_303
     RC_PSD_TABLES = 8
 
     def count(self, config, tmp_path, *argv):
@@ -685,9 +736,9 @@ class TestUnequalCellWidths:
     value is 0, as the strict edge test gives, while the point's own sums
     round 10 of its cells inside.  SPM is compared off that edge only.
 
-    Each one-point table is filled only on the columns where the point's
-    own third factor is nonzero: 773,890 kernel products, 787,158 on the
-    band of the supports widened by one cell; filling whole windows fails."""
+    Each one-point table is filled only on the cells where the point's own
+    third factor is nonzero: 773,890 kernel products, 787,158 on the band
+    of the supports widened by one cell; filling whole windows fails."""
 
     PRODUCTS = 773_890
 

@@ -42,6 +42,8 @@ RC_PSD = DualPolPsd(RaisedCosinePsd(0.0, 28e9, 0.1, 1.0),
                     RaisedCosinePsd(0.0, 20e9, 0.2, 0.6), 1e-3)
 STEP = 0.25e9
 POINTS = (0.0, 5e9, 12e9)
+# points a fractional number of cells from each other and from the supports
+OFF_LATTICE_POINTS = (0.07e9, 3.33e9, 9.91e9, 14.2e9)
 
 
 def knots(shape):
@@ -97,14 +99,14 @@ def oracle_terms(kernel, psd, f, **kwargs):
             oracle_term(kernel, gx, gy, gy, f, **kwargs))
 
 
-def engine_errors(link, psd):
-    """Engine / oracle - 1 for (SPM, XPolM) at each of POINTS."""
+def engine_errors(link, psd, points=POINTS):
+    """Engine / oracle - 1 for (SPM, XPolM) at each of the points."""
     kernel = KernelModel(link=link)
     result = nli_psd_x(GnRequest(psd=psd, kernel=kernel,
-                                 output_grid_hz=np.array(POINTS),
+                                 output_grid_hz=np.array(points),
                                  inner_grid_step_hz=STEP))
     errors = []
-    for i, f in enumerate(POINTS):
+    for i, f in enumerate(points):
         spm, xpolm = oracle_terms(kernel, psd, f)
         errors.append((result.spm[i] / spm - 1.0,
                        result.xpolm[i] / xpolm - 1.0))
@@ -129,8 +131,8 @@ class TestOracle:
 
 
 class TestEngineAccuracy:
-    """Worst |engine / oracle - 1| at f = 0, 5 and 12 GHz on a 250 MHz
-    step, per term."""
+    """Worst |engine / oracle - 1| at f = 0, 5 and 12 GHz, or at the
+    off-lattice points, on a 250 MHz step, per term."""
 
     def test_three_span_raised_cosine(self):
         # cells of exactly the step on continuous spectra: second order;
@@ -151,3 +153,21 @@ class TestEngineAccuracy:
         worst = np.max(np.abs(engine_errors(THREE_SPAN_LINK, DEMO_PSD)), axis=0)
         assert worst[0] <= 5.14e-3
         assert worst[1] <= 9.82e-3
+
+    def test_three_span_rectangles_off_lattice(self):
+        # each point is a run of its own; both terms read one shared table
+        # and take their third factor on the anti-diagonal layout
+        worst = np.max(np.abs(engine_errors(THREE_SPAN_LINK, DEMO_PSD,
+                                            OFF_LATTICE_POINTS)), axis=0)
+        assert worst[0] <= 2.13e-3
+        assert worst[1] <= 3.40e-3
+
+    def test_unequal_cell_widths_off_lattice(self):
+        # X takes 124 cells of 248.4 MHz and Y 84 of the 250 MHz step, so
+        # XPolM evaluates each point's own n1 x n2 third factor
+        psd = DualPolPsd(RectangularPsd(0.0, 30.8e9, 1.0),
+                         RectangularPsd(0.3e9, 21e9, 0.6), 1e-3)
+        worst = np.max(np.abs(engine_errors(DEMO_LINK, psd,
+                                            OFF_LATTICE_POINTS)), axis=0)
+        assert worst[0] <= 1.43e-3
+        assert worst[1] <= 3.03e-3
