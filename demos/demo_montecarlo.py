@@ -10,11 +10,9 @@ Run:  python3 demos/demo_montecarlo.py     (about a second)
 """
 import math
 
-import numpy as np
-
-from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
-                     RectangularPsd, Span, TrialConfig, in_band_mask,
-                     nli_psd_x, run_paired_trials)
+from gnmodel import (DualPolPsd, KernelModel, LinkProfile, RectangularPsd,
+                     Span, TrialConfig, in_band_verdict, nli_psd_x,
+                     reference_request, run_paired_trials)
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
 
@@ -33,18 +31,12 @@ def main():
           f"seed {cfg.seed}")
 
     paired = run_paired_trials(cfg, psd, model)
-    request = GnRequest(psd=psd, kernel=model,
-                        output_grid_hz=cfg.frequencies_hz,
-                        inner_grid_step_hz=cfg.spacing_hz / 8.0,
-                        include_phase_term=True)
-    gn = nli_psd_x(request)
-    mask = in_band_mask(cfg.frequencies_hz, psd.gx, cfg.edge_margin)
+    gn = nli_psd_x(reference_request(cfg, psd, model))
 
     def report(label, estimate, reference):
-        z = np.abs(estimate.mean[mask] - reference[mask]) \
-            / estimate.stderr[mask]
-        print(f"  {label:34s} worst z {z.max():5.2f}, "
-              f"{int(np.sum(z <= 3.0))}/{mask.sum()} points within 3 stderr")
+        verdict = in_band_verdict(cfg, psd.gx, estimate, reference)
+        print(f"  {label:34s} worst z {verdict.worst_z:5.2f}, "
+              f"{verdict.within}/{verdict.points} points within 3 stderr")
 
     print(f"in-band agreement ({cfg.edge_margin:.0%} edge margin):")
     report("RP1 vs GN total with phase", paired.rp1, gn.total)

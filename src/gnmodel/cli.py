@@ -216,19 +216,15 @@ def _run_psd(cfg: RunConfig, params, resolved, threads):
 
 
 def _run_montecarlo(cfg: RunConfig, params, resolved, threads):
-    from .gn import GnRequest, nli_psd_x
-    from .montecarlo import MODE_RP1, TrialConfig, estimate_nli_psd
+    from .gn import nli_psd_x
+    from .montecarlo import TrialConfig, estimate_nli_psd, reference_request
     from .stats import abs_z_score
     psd = cfg.require_signal()
     model = _kernel_model(cfg)
     trial_cfg = TrialConfig(**params)
-    # continuum GN prediction on the same grid; the phase term belongs to the
-    # RP1 PSD only and cancels in DP-ERP1.  Built first, so a step the GN
-    # engine rejects fails before any trial runs.
-    request = construct("montecarlo", GnRequest, psd=psd, kernel=model,
-                        output_grid_hz=trial_cfg.frequencies_hz,
-                        inner_grid_step_hz=trial_cfg.spacing_hz / 8.0,
-                        include_phase_term=trial_cfg.mode == MODE_RP1)
+    # built first, so a step the GN engine rejects fails before any trial runs
+    request = construct("montecarlo", reference_request, cfg=trial_cfg,
+                        psd=psd, kernel=model)
     estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
     analytic = nli_psd_x(request, threads=threads).total
     _require_finite(mc_mean=estimate.mean, mc_stderr=estimate.stderr,

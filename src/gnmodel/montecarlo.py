@@ -57,14 +57,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
+from .gn import GnRequest
 from .kernel import KernelModel, normalized_kernel_grid
 from .rng import POL_X, POL_Y, FieldStreams, complex_normals
 from .spectra import DualPolPsd, PsdShape, phase_rotation_weight
-from .stats import mean_stderr
+from .stats import abs_z_score, mean_stderr
 
 __all__ = [
     "MODE_RP1",
@@ -76,6 +78,7 @@ __all__ = [
     "run_paired_trials",
     "discrete_powers",
     "in_band_mask",
+    "InBandVerdict", "reference_request", "in_band_verdict",
 ]
 
 MODE_RP1 = "rp1"
@@ -326,3 +329,33 @@ def in_band_mask(frequencies_hz: np.ndarray, shape: PsdShape,
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return np.abs(np.asarray(frequencies_hz) - center) <= (1.0 - edge_margin) * half
+
+
+class InBandVerdict(NamedTuple):
+    """In-band points ``within`` 3 stderr of ``points``; passed: >= 95 %."""
+
+    within: int
+    points: int
+    worst_z: float
+    passed: bool
+
+
+def reference_request(cfg: TrialConfig, psd: DualPolPsd,
+                      kernel: KernelModel) -> GnRequest:
+    """Continuum GN on the line grid at step f0/8, with the phase term in RP1
+    only (it cancels in DP-ERP1); the result holds ``phase`` in either mode."""
+    return GnRequest(psd=psd, kernel=kernel, output_grid_hz=cfg.frequencies_hz,
+                     inner_grid_step_hz=cfg.spacing_hz / 8.0,
+                     include_phase_term=cfg.mode == MODE_RP1)
+
+
+def in_band_verdict(cfg: TrialConfig, shape: PsdShape, estimate: PsdEstimate,
+                    reference: np.ndarray) -> InBandVerdict:
+    """Judge ``estimate`` against ``reference`` (a value per grid point) on
+    the points ``in_band_mask`` keeps of ``shape``; ValueError if none."""
+    mask = in_band_mask(estimate.frequencies_hz, shape, cfg.edge_margin)
+    z = [abs_z_score(delta, stderr) for delta, stderr in
+         zip(estimate.mean[mask] - reference[mask], estimate.stderr[mask])]
+    within = sum(int(value <= 3.0) for value in z)
+    return InBandVerdict(within, len(z), float(max(z)),
+                         within >= 0.95 * len(z))

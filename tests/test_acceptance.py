@@ -14,9 +14,9 @@ import pytest
 from conftest import record_criterion
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
                      RectangularPsd, Span, StationaryProcessSet, TrialConfig,
-                     in_band_mask, kernel_closed_form, kernel_quadrature,
+                     in_band_verdict, kernel_closed_form, kernel_quadrature,
                      nli_psd_x, normalized_kernel, phase_term_coefficient,
-                     run_paired_trials, theorem2_check,
+                     reference_request, run_paired_trials, theorem2_check,
                      theorem3_discrete_check)
 from gnmodel.cli import run
 
@@ -116,48 +116,68 @@ def mc_run():
     cfg = TrialConfig(spacing_hz=1e9, num_lines=64, num_trials=2000,
                       seed=MC_SEED)
     paired = run_paired_trials(cfg, psd, model)
-    request = GnRequest(psd=psd, kernel=model,
-                        output_grid_hz=cfg.frequencies_hz,
-                        inner_grid_step_hz=cfg.spacing_hz / 8.0,
-                        include_phase_term=True)
-    gn = nli_psd_x(request)
-    mask = in_band_mask(cfg.frequencies_hz, psd.gx, cfg.edge_margin)
-    return {"paired": paired, "gn": gn, "mask": mask}
+    gn = nli_psd_x(reference_request(cfg, psd, model))
 
+    def verdict(estimate, reference):
+        return in_band_verdict(cfg, psd.gx, estimate, reference)
 
-def _three_sigma_fraction(estimate, reference, mask):
-    z = np.abs(estimate.mean[mask] - reference[mask]) / estimate.stderr[mask]
-    return int(np.sum(z <= 3.0)), int(mask.sum()), float(z.max())
+    return {"paired": paired, "gn": gn, "verdict": verdict}
 
 
 def test_criterion_4_rp1_matches_gn_with_phase(mc_run):
-    hits, total, worst = _three_sigma_fraction(
-        mc_run["paired"].rp1, mc_run["gn"].total, mc_run["mask"])
-    ok = hits / total >= 0.95
+    hits, total, worst, ok = mc_run["verdict"](mc_run["paired"].rp1,
+                                               mc_run["gn"].total)
     record_criterion(
         4, ok,
         f"RP1 Monte Carlo (M=64, 2000 trials) vs GN total with phase term: "
         f"{hits}/{total} in-band points within 3 stderr (need >= 95%), "
         f"worst z {worst:.2f}")
-    assert hits / total >= 0.95
+    assert ok
 
 
 def test_criterion_5_erp1_cancels_phase_term(mc_run):
     gn = mc_run["gn"]
-    without_phase = gn.spm + gn.xpolm
-    hits, total, worst = _three_sigma_fraction(
-        mc_run["paired"].erp1, without_phase, mc_run["mask"])
-    d_hits, d_total, d_worst = _three_sigma_fraction(
-        mc_run["paired"].difference, gn.phase, mc_run["mask"])
-    ok = hits / total >= 0.95 and d_hits / d_total >= 0.95
+    hits, total, worst, ok = mc_run["verdict"](mc_run["paired"].erp1,
+                                               gn.spm + gn.xpolm)
+    d_hits, d_total, d_worst, d_ok = mc_run["verdict"](
+        mc_run["paired"].difference, gn.phase)
     record_criterion(
-        5, ok,
+        5, ok and d_ok,
         f"DP-ERP1 vs GN total without phase term: {hits}/{total} within 3 "
         f"stderr (worst z {worst:.2f}); paired RP1-ERP1 difference vs "
         f"Gx(f)(2Px+Py)^2: {d_hits}/{d_total} within 3 stderr "
         f"(worst z {d_worst:.2f})")
-    assert hits / total >= 0.95
-    assert d_hits / d_total >= 0.95
+    assert ok
+    assert d_ok
+
+
+# wrong references the criterion 4/5 verdict must reject on the same draws:
+# (estimate, reference built from the GN terms).  Scaling XPolM by 0.5 stays
+# inside the rule (26 of 27 points): the 3-sigma rule barely sees XPolM,
+# which is 9.8 % of the in-band total on this link.
+NEGATIVE_CONTROLS = [
+    pytest.param("erp1", lambda gn: 0.9 * gn.spm + gn.xpolm,
+                 id="erp1-vs-0.9spm+xpolm"),
+    pytest.param("erp1", lambda gn: 0.9 * (gn.spm + gn.xpolm),
+                 id="erp1-vs-0.9(spm+xpolm)"),
+    pytest.param("erp1", lambda gn: gn.spm, id="erp1-vs-spm-alone"),
+    pytest.param("difference", lambda gn: 0.9 * gn.phase,
+                 id="difference-vs-0.9phase"),
+    pytest.param("rp1", lambda gn: gn.spm + gn.xpolm,
+                 id="rp1-vs-no-phase"),
+    pytest.param("erp1", lambda gn: gn.spm + 0.5 * gn.xpolm,
+                 id="erp1-vs-spm+0.5xpolm",
+                 marks=pytest.mark.xfail(
+                     strict=True, reason="known blind spot: the rule accepts "
+                     "0.5 x XPolM (26/27)")),
+]
+
+
+@pytest.mark.parametrize("estimate, reference", NEGATIVE_CONTROLS)
+def test_verdict_rejects_wrong_reference(mc_run, estimate, reference):
+    verdict = mc_run["verdict"](getattr(mc_run["paired"], estimate),
+                                reference(mc_run["gn"]))
+    assert verdict.passed is False, verdict
 
 
 def test_criterion_6_moment_theorems():

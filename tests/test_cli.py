@@ -12,7 +12,8 @@ import yaml
 import gnmodel
 from gnmodel import (GnRequest, KernelConvergenceError, KernelModel,
                      TrialConfig, estimate_nli_psd, kernel_closed_form,
-                     kernel_quadrature, load_config, nli_psd_x)
+                     kernel_quadrature, load_config, nli_psd_x,
+                     reference_request)
 from gnmodel.cli import _build_parser, main, run
 from gnmodel.config import read_flags
 
@@ -369,27 +370,25 @@ class TestMontecarloCommand:
                                       est.mean)
 
     def test_mode_switches_analytic_reference(self, config_path, tmp_path):
-        # rp1 compares against the total with the phase term, erp1 without;
-        # the analytic columns must differ by exactly the phase contribution
-        files = {}
+        # each mode's analytic column is exactly the library's reference:
+        # rp1 the total with the phase term, erp1 without; so the columns
+        # differ by exactly the phase contribution
+        cfg = load_config(config_path)
+        psd, model = cfg.require_signal(), KernelModel(cfg.require_link())
+        analytic = {}
         for mode in ("rp1", "erp1"):
             out = tmp_path / f"{mode}.csv"
             assert run(["--config", config_path, "--output", str(out),
                         "montecarlo", "--mode", mode, "--trials", "20"]) == 0
-            files[mode] = read_table(out)
-        _, cols, rows_rp1 = files["rp1"]
-        _, _, rows_erp1 = files["erp1"]
-        f_grid = column(rows_rp1, cols, "f_Hz")
-        diff = column(rows_rp1, cols, "analytic") \
-            - column(rows_erp1, cols, "analytic")
-        cfg = load_config(config_path)
-        model = KernelModel(cfg.require_link())
-        request = GnRequest(psd=cfg.require_signal(), kernel=model,
-                            output_grid_hz=f_grid,
-                            inner_grid_step_hz=1e9 / 8.0,
-                            include_phase_term=True)
-        phase = nli_psd_x(request).phase
-        np.testing.assert_allclose(diff, phase, rtol=1e-12,
+            _, cols, rows = read_table(out)
+            analytic[mode] = column(rows, cols, "analytic")
+            trial_cfg = TrialConfig(spacing_hz=1e9, num_lines=16,
+                                    num_trials=20, seed=31, mode=mode)
+            result = nli_psd_x(reference_request(trial_cfg, psd, model))
+            np.testing.assert_array_equal(analytic[mode], result.total)
+        phase = result.phase    # the erp1 reference still holds the phase
+        np.testing.assert_allclose(analytic["rp1"] - analytic["erp1"], phase,
+                                   rtol=1e-12,
                                    atol=1e-15 * float(np.max(phase)))
 
     def test_bad_gn_step_exits_1_before_any_trial(self, config_path, tmp_path,

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import gnmodel
 from gnmodel import (ConfigError, DualPolPsd, KernelModel, LinkProfile,
-                     RaisedCosinePsd, RectangularPsd, Span, TrialConfig,
-                     discrete_powers, estimate_nli_psd, in_band_mask,
-                     load_config, normalized_kernel, run_paired_trials,
+                     PsdEstimate, RaisedCosinePsd, RectangularPsd, Span,
+                     TrialConfig, discrete_powers, estimate_nli_psd,
+                     in_band_mask, in_band_verdict, load_config,
+                     normalized_kernel, run_paired_trials,
                      validate_grid_coverage)
 from gnmodel.montecarlo import (_draw_rows, _line_amplitudes, _per_trial_values,
                                 _perturbation_rows, _shift_sums)
@@ -420,3 +421,63 @@ class TestInBandMask:
         f = np.arange(-8, 9) * 1e9
         mask = in_band_mask(f, RectangularPsd(0.0, 8e9, 1.0), edge_margin=0.0)
         np.testing.assert_array_equal(mask, np.abs(f) <= 4e9)
+
+
+class TestInBandVerdict:
+    def verdict(self, edge_margin, shape=RectangularPsd(0.0, 40e9, 1.0)):
+        cfg = TrialConfig(spacing_hz=1e9, num_lines=40, num_trials=2, seed=0,
+                          edge_margin=edge_margin)
+        f = cfg.frequencies_hz
+        # z = 10 at +-19 and +-20 GHz, 3 (within) at 0, 4 at 5 GHz
+        mean = np.where(np.abs(f) >= 19e9, 10.0, 0.0)
+        mean[f == 0] = 3.0
+        mean[f == 5e9] = 4.0
+        estimate = PsdEstimate(f, mean, np.ones_like(f), 2)
+        return in_band_verdict(cfg, shape, estimate, np.zeros_like(f))
+
+    def test_reads_the_edge_margin_and_counts_z_3_as_within(self):
+        # |f| <= 18 GHz: 36 of 37 within, and 36 >= 0.95 * 37
+        assert self.verdict(0.1) == (36, 37, 4.0, True)
+        # the whole support: 36 of 41, below 0.95 * 41 = 38.95
+        assert self.verdict(0.0) == (36, 41, 10.0, False)
+
+    def test_no_in_band_point_is_an_error(self):
+        with pytest.raises(ValueError):
+            self.verdict(0.1, RectangularPsd(0.5e9, 0.5e9, 1.0))
+
+
+class TestEdgeOnLine:
+    """Pins a known defect rather than hiding it: a line that falls exactly
+    on a rectangle's edge gets amplitude 0 (``evaluate`` tests |x| < B/2
+    strictly), so the grid loses one line per edge and the line powers fall
+    short of the continuous ones, a gap first order in f0.  On the demo
+    rectangles (X 31 GHz, Y 21 GHz) the edges are at ±15.5 and ±10.5 GHz:
+    between lines at f0 = 1 GHz, on lines at f0 = 0.5 GHz.  A mend (line
+    powers from cell-averaged PSDs) moves every Monte Carlo output and needs
+    its own change; the spacing here must not move to hide the gap."""
+
+    PSD = DualPolPsd(RectangularPsd(0.0, 31e9, 1.0),
+                     RectangularPsd(0.0, 21e9, 0.6), 1e-3)
+
+    @pytest.mark.parametrize("spacing_hz, num_lines, lines, powers", [
+        (0.5e9, 128, (61, 41), (30.5e9, 12.3e9)),
+        (1e9, 64, (31, 21), (31e9, 12.6e9)),
+    ])
+    def test_lines_and_powers(self, spacing_hz, num_lines, lines, powers):
+        cfg = TrialConfig(spacing_hz=spacing_hz, num_lines=num_lines,
+                          num_trials=1, seed=0)
+        kept = [np.count_nonzero(_line_amplitudes(cfg, shape))
+                for shape in (self.PSD.gx, self.PSD.gy)]
+        assert kept == list(lines)
+        assert discrete_powers(cfg, self.PSD) == pytest.approx(powers,
+                                                               rel=1e-12)
+
+    def test_edge_lines_are_dropped(self):
+        cfg = TrialConfig(spacing_hz=0.5e9, num_lines=128, num_trials=1,
+                          seed=0)
+        amps = _line_amplitudes(cfg, self.PSD.gx)
+        edge = np.abs(cfg.grid_indices) == 31     # ±15.5 GHz
+        assert np.all(amps[edge] == 0)
+        assert np.all(amps[np.abs(cfg.grid_indices) < 31] > 0)
+        assert (self.PSD.px_hat, self.PSD.py_hat) == pytest.approx(
+            (31e9, 12.6e9), rel=1e-15)
