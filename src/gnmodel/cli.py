@@ -7,7 +7,7 @@ Subcommands
                 (--f-min-hz2, --f-max-hz2, --points, --spacing, --method)
     psd         GN-model NLI PSD of the X polarization on the configured
                 output grid
-    montecarlo  Monte Carlo NLI PSD estimate vs the GN prediction
+    montecarlo  Monte Carlo NLI PSD estimate vs its exact finite-f0 mean
                 (--mode, --lines, --spacing-hz, --trials, --seed)
     moments     statistical checks of the moment machinery
                 (--theorem {1,2,3}, --k, --trials, --seed)
@@ -217,13 +217,14 @@ def _run_psd(cfg: RunConfig, params, resolved, threads):
 
 def _run_montecarlo(cfg: RunConfig, params, resolved, threads):
     from .gn import nli_psd_x
-    from .montecarlo import TrialConfig, estimate_nli_psd, reference_request
+    from .montecarlo import TrialConfig, estimate_nli_psd, expected_request
     from .stats import abs_z_score
     psd = cfg.require_signal()
     model = _kernel_model(cfg)
     trial_cfg = TrialConfig(**params)
-    # built first, so a step the GN engine rejects fails before any trial runs
-    request = construct("montecarlo", reference_request, cfg=trial_cfg,
+    # built first, so a grid that cannot hold the exact mean fails before
+    # any trial runs
+    request = construct("montecarlo", expected_request, cfg=trial_cfg,
                         psd=psd, kernel=model)
     estimate = estimate_nli_psd(trial_cfg, psd, model, polarization="x")
     analytic = nli_psd_x(request, threads=threads).total

@@ -29,7 +29,18 @@ follows the shape (``_cell_axis``):
   reach past the support end, where the shape is 0.  The integrand is then
   continuous with a continuous slope across every cell, so the midpoint
   rule is second order without aligning to the support, and output points
-  a whole number of steps apart share one lattice (below).
+  a whole number of steps apart share one lattice (below);
+* on spectral lines (``GnRequest.on_lines``; the step is the line spacing
+  f0) each shape gets one cell of width f0 centred on each line k*f0 of
+  its support.  At an output line the rule is then the lattice sum
+      f0^2 sum_{m,n} |eta(m n f0^2)|^2 g_{k+m} g'_{k+n} g''_{k+m+n}
+  of the line values g_k = Ghat(k f0), which is exactly the mean of the
+  Monte Carlo's DP-ERP1 estimator (``montecarlo``).  It is exact at any
+  spacing, so the step is not held to 1/16 of a support.  The shapes are
+  read through ``_Lines``, at the nearest line computed as k * f0 like the
+  Monte Carlo's grid, so a line on a support end gets the value the trials
+  give it; the phase term takes the line powers f0 * sum_k Ghat(k f0), so
+  the RP1 mean is the DP-ERP1 mean plus (2 Px + Py)^2 Ghat_x(k f0) exactly.
 |eta|^2 is taken at the cell-midpoint product f1*f2 through the closed-form
 kernel.
 
@@ -104,6 +115,7 @@ domain.  Every other cell stays 0.  The bits cannot change:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -141,6 +153,10 @@ class GnRequest:
     at its ends is covered by as many cells of exactly this size (see the
     module docstring).  The step must not exceed 1/16 of any nonzero
     support width.
+
+    ``on_lines`` asks for the lattice sum over the spectral lines k * step
+    instead (see the module docstring): the step is then the line spacing,
+    at any ratio to the supports, and every output point must be a line.
     """
 
     psd: DualPolPsd
@@ -148,6 +164,7 @@ class GnRequest:
     output_grid_hz: np.ndarray
     inner_grid_step_hz: float
     include_phase_term: bool = True
+    on_lines: bool = False
 
     def __post_init__(self):
         grid = np.atleast_1d(np.asarray(self.output_grid_hz, dtype=float))
@@ -156,6 +173,12 @@ class GnRequest:
         self.output_grid_hz = grid
         if not self.inner_grid_step_hz > 0:
             raise ValueError(f"inner grid step must be > 0, got {self.inner_grid_step_hz}")
+        if self.on_lines:
+            lines = grid / self.inner_grid_step_hz
+            if np.any(np.abs(lines - np.round(lines)) > _WHOLE_CELL_TOL):
+                raise ValueError(f"output grid is not on the lines k * "
+                                 f"{self.inner_grid_step_hz:g} Hz")
+            return
         for name, shape in (("gx", self.psd.gx), ("gy", self.psd.gy)):
             if shape.power_integral() <= 0:
                 continue
@@ -206,6 +229,42 @@ def _whole_cells(shift: float, h: float):
     return cells if abs(shift / h - cells) <= _WHOLE_CELL_TOL else None
 
 
+@dataclass(frozen=True)
+class _Lines(PsdShape):
+    """``shape`` as the spectral lines k * spacing sample it.
+
+    A frequency is read at its nearest line, computed as k * spacing like
+    the Monte Carlo's grid, so lattice arithmetic cannot round a line across
+    a support end; the power is the line power spacing * sum_k Ghat(k
+    spacing).
+    """
+
+    shape: PsdShape
+    spacing: float
+
+    @property
+    def indices(self) -> np.ndarray:
+        """k of the lines in the support, at least one: ceil(lo / spacing)
+        to floor(hi / spacing), within _WHOLE_CELL_TOL of a line, so a line
+        on a support end is never lost to rounding."""
+        lo, hi = self.shape.support
+        first = math.ceil(lo / self.spacing - _WHOLE_CELL_TOL)
+        last = math.floor(hi / self.spacing + _WHOLE_CELL_TOL)
+        return np.arange(first, max(first, last) + 1)
+
+    def evaluate(self, f):
+        lines = np.round(np.asarray(f, dtype=float) / self.spacing)
+        return self.shape.evaluate(lines * self.spacing)
+
+    def power_integral(self) -> float:
+        return self.spacing * float(np.sum(self.shape.evaluate(
+            self.indices * self.spacing)))
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.shape.support
+
+
 def _cell_axis(shape: PsdShape, step: float):
     """Midpoint axis from the support start: (support start, cell width h,
     midpoint offsets (i + 1/2) h).
@@ -213,8 +272,13 @@ def _cell_axis(shape: PsdShape, step: float):
     A shape that jumps at its support ends gets ceil(width/step) cells that
     divide the support exactly.  A shape continuous at its ends gets as many
     cells of exactly ``step``, the last of which may reach past the support
-    end.
+    end.  Spectral lines (``_Lines``) get one cell of width ``step``
+    centred on each line of the support; the axis then starts half a cell
+    before the first line.
     """
+    if isinstance(shape, _Lines):
+        lines = shape.indices
+        return (lines[0] - 0.5) * step, step, (np.arange(lines.size) + 0.5) * step
     lo, hi = shape.support
     cells = max(1, int(np.ceil((hi - lo) / step)))
     h = step if shape.continuous_at_ends else (hi - lo) / cells
@@ -367,6 +431,9 @@ def _integrate_run(kernel, axes, terms, grid, run) -> list:
 def nli_psd_x(req: GnRequest, threads: int = 1) -> NliPsdResult:
     """NLI PSD received by the X polarization."""
     psd = req.psd
+    if req.on_lines:
+        psd = DualPolPsd(_Lines(psd.gx, req.inner_grid_step_hz),
+                         _Lines(psd.gy, req.inner_grid_step_hz), psd.p0_w)
     gx, gy = psd.gx, psd.gy
     grid = req.output_grid_hz
     spm = np.zeros(grid.size)

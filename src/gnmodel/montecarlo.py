@@ -28,6 +28,18 @@ f0 * sum_k Ghat(k f0): on the grid, E[sum * conj(X_k)] equals exactly
 P_T_discrete * E|X_k|^2, so this choice cancels the phase term exactly at
 finite f0 instead of only asymptotically.
 
+Exact mean: by CGMT the DP-ERP1 estimator at line k has the expectation
+
+    f0^2 sum_{m,n} |eta(m n f0^2)|^2 [2 g_{k+m} g_{k+m+n} g_{k+n}
+                                      + g_{k+m} h_{k+m+n} h_{k+n}]
+
+with g_k = Ghat_x(k f0) and h_k = Ghat_y(k f0), and the RP1 estimator that
+plus P_T_discrete^2 g_k.  This is the GN midpoint rule on cells of width f0
+centred on the lines: ``expected_request`` asks the GN engine for it
+(``GnRequest.on_lines``), and the ``montecarlo`` command compares its
+estimate with it.  ``reference_request`` is the continuum GN prediction at
+step f0/8, the limit that the exact mean approaches as f0 shrinks.
+
 Engine: with i = k+n, the double sum B over a block of trials (rows)
 regroups per line shift m as
 
@@ -78,7 +90,8 @@ __all__ = [
     "run_paired_trials",
     "discrete_powers",
     "in_band_mask",
-    "InBandVerdict", "reference_request", "in_band_verdict",
+    "InBandVerdict", "expected_request", "reference_request",
+    "in_band_verdict",
 ]
 
 MODE_RP1 = "rp1"
@@ -347,6 +360,20 @@ def reference_request(cfg: TrialConfig, psd: DualPolPsd,
     return GnRequest(psd=psd, kernel=kernel, output_grid_hz=cfg.frequencies_hz,
                      inner_grid_step_hz=cfg.spacing_hz / 8.0,
                      include_phase_term=cfg.mode == MODE_RP1)
+
+
+def expected_request(cfg: TrialConfig, psd: DualPolPsd,
+                     kernel: KernelModel) -> GnRequest:
+    """The exact mean of the estimator at spacing f0: GN on cells of width
+    f0 centred on the lines (``GnRequest.on_lines``), with the phase term of
+    the line powers (``discrete_powers``) in RP1 only; the result holds
+    ``phase`` in either mode.  The grid must cover the supports
+    (``validate_grid_coverage``, ConfigError otherwise), so that every
+    line the sum reads is one the trials draw."""
+    validate_grid_coverage(cfg, psd)
+    return GnRequest(psd=psd, kernel=kernel, output_grid_hz=cfg.frequencies_hz,
+                     inner_grid_step_hz=cfg.spacing_hz,
+                     include_phase_term=cfg.mode == MODE_RP1, on_lines=True)
 
 
 def in_band_verdict(cfg: TrialConfig, shape: PsdShape, estimate: PsdEstimate,

@@ -14,9 +14,10 @@ import pytest
 from conftest import record_criterion
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
                      RectangularPsd, Span, StationaryProcessSet, TrialConfig,
-                     in_band_verdict, kernel_closed_form, kernel_quadrature,
-                     nli_psd_x, normalized_kernel, phase_term_coefficient,
-                     reference_request, run_paired_trials, theorem2_check,
+                     expected_request, in_band_verdict, kernel_closed_form,
+                     kernel_quadrature, nli_psd_x, normalized_kernel,
+                     phase_term_coefficient, reference_request,
+                     run_paired_trials, theorem2_check,
                      theorem3_discrete_check)
 from gnmodel.cli import run
 
@@ -107,7 +108,8 @@ def test_criterion_3_phase_term_identity():
 
 @pytest.fixture(scope="module")
 def mc_run():
-    """Criterion 4/5 workload: one paired 2000-trial run plus the GN curve."""
+    """Criterion 4/5 workload: one paired 2000-trial run plus the GN curve
+    and the exact finite-f0 mean."""
     span = Span(length_m=80e3, alpha_per_m=ALPHA, beta2_s2_per_m=-21.7e-27,
                 gamma_per_w_m=1.3e-3)
     model = KernelModel(link=LinkProfile(spans=(span,)))
@@ -117,11 +119,12 @@ def mc_run():
                       seed=MC_SEED)
     paired = run_paired_trials(cfg, psd, model)
     gn = nli_psd_x(reference_request(cfg, psd, model))
+    exact = nli_psd_x(expected_request(cfg, psd, model))
 
     def verdict(estimate, reference):
         return in_band_verdict(cfg, psd.gx, estimate, reference)
 
-    return {"paired": paired, "gn": gn, "verdict": verdict}
+    return {"paired": paired, "gn": gn, "exact": exact, "verdict": verdict}
 
 
 def test_criterion_4_rp1_matches_gn_with_phase(mc_run):
@@ -149,6 +152,18 @@ def test_criterion_5_erp1_cancels_phase_term(mc_run):
         f"(worst z {d_worst:.2f})")
     assert ok
     assert d_ok
+
+
+def test_mc_matches_its_exact_mean(mc_run):
+    # criterion 4/5's draws against the mean they estimate, with no
+    # quadrature bias: worst z 2.29 (RP1), 1.86 (DP-ERP1) and 2.19 (the
+    # paired difference against the phase term of the line powers)
+    paired, exact = mc_run["paired"], mc_run["exact"]
+    for estimate, reference in ((paired.rp1, exact.total),
+                                (paired.erp1, exact.spm + exact.xpolm),
+                                (paired.difference, exact.phase)):
+        verdict = mc_run["verdict"](estimate, reference)
+        assert verdict.passed, verdict
 
 
 # wrong references the criterion 4/5 verdict must reject on the same draws:

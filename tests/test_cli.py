@@ -11,9 +11,9 @@ import yaml
 
 import gnmodel
 from gnmodel import (GnRequest, KernelConvergenceError, KernelModel,
-                     TrialConfig, estimate_nli_psd, kernel_closed_form,
-                     kernel_quadrature, load_config, nli_psd_x,
-                     reference_request)
+                     TrialConfig, discrete_powers, estimate_nli_psd,
+                     expected_request, kernel_closed_form, kernel_quadrature,
+                     load_config, nli_psd_x)
 from gnmodel.cli import _build_parser, main, run
 from gnmodel.config import read_flags
 
@@ -370,9 +370,9 @@ class TestMontecarloCommand:
                                       est.mean)
 
     def test_mode_switches_analytic_reference(self, config_path, tmp_path):
-        # each mode's analytic column is exactly the library's reference:
-        # rp1 the total with the phase term, erp1 without; so the columns
-        # differ by exactly the phase contribution
+        # each mode's analytic column is exactly the library's exact mean:
+        # rp1 with the phase term, erp1 without; so the columns differ by
+        # exactly P_T^2 Ghat_x(k f0), P_T from the line powers
         cfg = load_config(config_path)
         psd, model = cfg.require_signal(), KernelModel(cfg.require_link())
         analytic = {}
@@ -384,23 +384,24 @@ class TestMontecarloCommand:
             analytic[mode] = column(rows, cols, "analytic")
             trial_cfg = TrialConfig(spacing_hz=1e9, num_lines=16,
                                     num_trials=20, seed=31, mode=mode)
-            result = nli_psd_x(reference_request(trial_cfg, psd, model))
+            result = nli_psd_x(expected_request(trial_cfg, psd, model))
             np.testing.assert_array_equal(analytic[mode], result.total)
-        phase = result.phase    # the erp1 reference still holds the phase
+        px, py = discrete_powers(trial_cfg, psd)
+        phase = (2.0 * px + py)**2 * psd.gx.evaluate(trial_cfg.frequencies_hz)
         np.testing.assert_allclose(analytic["rp1"] - analytic["erp1"], phase,
                                    rtol=1e-12,
                                    atol=1e-15 * float(np.max(phase)))
 
-    def test_bad_gn_step_exits_1_before_any_trial(self, config_path, tmp_path,
-                                                  capsys):
-        # a ruinous trial count proves the GN request is checked up front:
-        # the step spacing/8 exceeds 1/16 of the 9 GHz X support
+    def test_uncovered_grid_exits_1_before_any_trial(self, config_path,
+                                                     tmp_path, capsys):
+        # a ruinous trial count proves the grid is checked up front: 16
+        # lines 0.5 GHz apart reach 4 GHz, below 1.5x the 4.5 GHz X extent
         out = tmp_path / "never.csv"
         assert run(["--config", config_path, "--output", str(out),
-                    "montecarlo", "--spacing-hz", "11e9",
+                    "montecarlo", "--spacing-hz", "0.5e9",
                     "--trials", str(10**9)]) == 1
         assert not out.exists()
-        assert "exceeds 1/16 of the gx support width" in capsys.readouterr().err
+        assert "below 1.5x the x-PSD support extent" in capsys.readouterr().err
 
     def test_thread_count_is_byte_invisible(self, config_path, tmp_path):
         one, four = tmp_path / "t1.csv", tmp_path / "t4.csv"

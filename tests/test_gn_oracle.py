@@ -16,13 +16,15 @@ criterion 1 checks against its quadrature, is shared with the engine.
 The engine's errors against it are pinned as upper bounds, which may only
 move down.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gnmodel import (DualPolPsd, GnRequest, KernelModel, LinkProfile,
-                     RaisedCosinePsd, RectangularPsd, Span, nli_psd_x)
+                     RaisedCosinePsd, RectangularPsd, Span, TrialConfig,
+                     expected_request, nli_psd_x)
 from gnmodel.kernel import normalized_kernel_grid
 
 ALPHA = 0.2 * math.log(10.0) / 1.0e4
@@ -171,3 +173,44 @@ class TestEngineAccuracy:
                                             OFF_LATTICE_POINTS)), axis=0)
         assert worst[0] <= 1.43e-3
         assert worst[1] <= 3.03e-3
+
+
+class TestLatticeLimit:
+    """The exact Monte Carlo mean at line spacing f0 (``expected_request``)
+    approaches the continuum GN integral as f0 halves: the limit that the
+    paper derives.  Worst |lattice / oracle - 1| at f = 0, 5 and 12 GHz per
+    term, at f0 = 1, 0.5, 0.25 and 0.125 GHz on grids that just cover 1.5x
+    the X support."""
+
+    SPACINGS = (1e9, 0.5e9, 0.25e9, 0.125e9)
+
+    def gaps(self, link, psd):
+        kernel = KernelModel(link=link)
+        oracle = np.array([oracle_terms(kernel, psd, f) for f in POINTS])
+        extent = max(abs(end) for end in psd.gx.support)
+        gaps = []
+        for f0 in self.SPACINGS:
+            cfg = TrialConfig(spacing_hz=f0, num_trials=1, seed=0, mode="erp1",
+                              num_lines=2 * math.ceil(1.5 * extent / f0))
+            request = dataclasses.replace(expected_request(cfg, psd, kernel),
+                                          output_grid_hz=np.array(POINTS))
+            mean = nli_psd_x(request)
+            gaps.append(np.max(np.abs(np.stack((mean.spm, mean.xpolm), axis=1)
+                                      / oracle - 1.0), axis=0))
+        return np.array(gaps)
+
+    def test_three_span_raised_cosines(self):
+        # smooth spectra: the gap shrinks faster than f0
+        gaps = self.gaps(THREE_SPAN_LINK, RC_PSD)
+        assert np.all(gaps[:, 0] <= [3.32e-4, 1.08e-4, 7.35e-6, 1.70e-6])
+        assert np.all(gaps[:, 1] <= [2.20e-4, 6.35e-5, 4.30e-6, 1.02e-6])
+
+    def test_demo_rectangles_edge_on_line(self):
+        # from 0.5 GHz on the rectangles' edges (+-15.5 and +-10.5 GHz) fall
+        # on lines, which read 0 (``TestEdgeOnLine``): a gap first order in
+        # f0, which halves with f0; pinned, not avoided
+        gaps = self.gaps(DEMO_LINK, DEMO_PSD)
+        assert np.all(gaps[:, 0] <= [1.48e-3, 3.23e-2, 1.62e-2, 8.07e-3])
+        assert np.all(gaps[:, 1] <= [1.05e-3, 5.37e-2, 2.70e-2, 1.36e-2])
+        ratios = gaps[2:] / gaps[1:-1]
+        assert np.all((0.49 < ratios) & (ratios < 0.51))
