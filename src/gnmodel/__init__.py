@@ -31,8 +31,7 @@ _EXPORTS = {
     "montecarlo": ("MODE_RP1", "MODE_DP_ERP1", "TrialConfig", "PsdEstimate",
                    "PairedEstimates", "estimate_nli_psd", "run_paired_trials",
                    "discrete_powers", "in_band_mask", "validate_grid_coverage",
-                   "InBandVerdict", "expected_request", "reference_request",
-                   "in_band_verdict"),
+                   "InBandVerdict", "expected_request", "in_band_verdict"),
     "moments": ("GaussianEnsemble", "MomentSpec", "CheckResult", "CheckReport",
                 "StationaryProcessSet", "cgmt_sum", "mc_moment",
                 "theorem1_discrete_check", "theorem2_check",

@@ -36,9 +36,8 @@ Exact mean: by CGMT the DP-ERP1 estimator at line k has the expectation
 with g_k = Ghat_x(k f0) and h_k = Ghat_y(k f0), and the RP1 estimator that
 plus P_T_discrete^2 g_k.  This is the GN midpoint rule on cells of width f0
 centred on the lines: ``expected_request`` asks the GN engine for it
-(``GnRequest.on_lines``), and the ``montecarlo`` command compares its
-estimate with it.  ``reference_request`` is the continuum GN prediction at
-step f0/8, the limit that the exact mean approaches as f0 shrinks.
+(``GnRequest.on_lines``), and every Monte Carlo verdict compares its
+estimate with it.  As f0 shrinks it approaches the continuum GN integral.
 
 Engine: with i = k+n, the double sum B over a block of trials (rows)
 regroups per line shift m as
@@ -90,8 +89,7 @@ __all__ = [
     "run_paired_trials",
     "discrete_powers",
     "in_band_mask",
-    "InBandVerdict", "expected_request", "reference_request",
-    "in_band_verdict",
+    "InBandVerdict", "expected_request", "in_band_verdict",
 ]
 
 MODE_RP1 = "rp1"
@@ -107,8 +105,10 @@ class TrialConfig:
     """Monte Carlo run parameters.
 
     ``num_lines`` is M; the grid holds M+1 lines at k*f0 for k in
-    [-M/2, M/2], so M is even.  The fields are not checked here: their
-    ranges are declared in the configuration schema.
+    [-M/2, M/2], so M is even.  The ranges of the numeric fields are
+    declared in the configuration schema, not checked here; a ``mode`` other
+    than ``MODE_RP1`` or ``MODE_DP_ERP1`` is a ValueError, since it would
+    otherwise select DP-ERP1 silently.
     """
 
     spacing_hz: float
@@ -117,6 +117,11 @@ class TrialConfig:
     seed: int
     mode: str = MODE_RP1
     edge_margin: float = 0.1
+
+    def __post_init__(self):
+        if self.mode not in (MODE_RP1, MODE_DP_ERP1):
+            raise ValueError(f"mode must be {MODE_RP1!r} or {MODE_DP_ERP1!r}, "
+                             f"got {self.mode!r}")
 
     @property
     def half_lines(self) -> int:
@@ -351,15 +356,6 @@ class InBandVerdict(NamedTuple):
     points: int
     worst_z: float
     passed: bool
-
-
-def reference_request(cfg: TrialConfig, psd: DualPolPsd,
-                      kernel: KernelModel) -> GnRequest:
-    """Continuum GN on the line grid at step f0/8, with the phase term in RP1
-    only (it cancels in DP-ERP1); the result holds ``phase`` in either mode."""
-    return GnRequest(psd=psd, kernel=kernel, output_grid_hz=cfg.frequencies_hz,
-                     inner_grid_step_hz=cfg.spacing_hz / 8.0,
-                     include_phase_term=cfg.mode == MODE_RP1)
 
 
 def expected_request(cfg: TrialConfig, psd: DualPolPsd,

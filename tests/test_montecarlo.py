@@ -93,6 +93,14 @@ class TestTrialConfig:
                                                   f".*{match}"):
                 load_config(str(path))
 
+    @pytest.mark.parametrize("mode", ["RP1", "erp", ""])
+    def test_unknown_mode_is_an_error(self, mode):
+        # any mode but rp1 would select DP-ERP1 in the estimator and drop the
+        # phase term from its exact mean, so the two would agree silently
+        with pytest.raises(ValueError, match=f"got {mode!r}"):
+            TrialConfig(spacing_hz=1e9, num_lines=16, num_trials=2, seed=0,
+                        mode=mode)
+
     def test_grid_layout(self):
         cfg = TrialConfig(spacing_hz=2e9, num_lines=8, num_trials=1, seed=0)
         assert cfg.half_lines == 4
