@@ -50,12 +50,15 @@ cell width, moving the output point by a whole number of cells only slides
 the (f1, f2) midpoints along one lattice, so consecutive grid points whose
 shifts from the run's first point are whole numbers of cells (within 1e-9
 of a cell width) share one |eta|^2 table on that lattice, and each point
-sums over its n1 x n2 window of it.  A run stops growing before its table
-would exceed twice one point's n1*n2 grid.  A point at a fractional shift
-from the current run's first point starts a new run; on axes of unequal
-widths every point is a run of one, whose table is its own grid.  Runs are
-the unit of work of the thread pool, so results do not depend on the thread
-count.
+sums over its n1 x n2 window of it.  A run grows for as long as the shifts
+are whole, so a grid whose points are a whole number of cells apart is one
+run, and each cell of its lattice is evaluated at most once.  A point at a
+fractional shift from the current run's first point starts a new run; on
+axes of unequal widths every point is a run of one, whose table is its own
+grid.  Runs are the unit of work of the thread pool, so results do not
+depend on the thread count.  The lattice coordinates are counted from the
+run's first point, so where a support start is not exact in binary, a value
+can move in its last bits with the point that starts its run.
 
 SPM and XPolM integrate the same kernel; only their PSD factors differ.
 When XPolM's partner axis lies on the main axis's lattice (the same cell
@@ -91,15 +94,21 @@ Each term's third factor is evaluated for the whole run before the table is
 filled, and the sums read the same arrays.  The window that starts r cells
 into the run reads rows r .. r + n1 - 1 of the term's third factor (of the
 anti-diagonals' Hankel view, or of a one-point run's own n1 x n2 array) at
-the table cells (d1 + r, d2 + r) onwards, where (d1, d2) is the term's first
-table cell.  A table cell is filled if and only if some window of some
-term reads it (or, on equal axes, its transpose) against a nonzero third
-factor; for rectangular spectra this is the GN model's lozenge-shaped
-domain.  Every other cell stays 0.  The bits cannot change:
-* a cell that is not evaluated is read only against a third factor c of
-  exactly +0 or -0, so each of its products c*w is 0 with the sign of c,
-  whatever finite w >= 0 holds, and every sum keeps its bits; a cell that
-  no point reads is never multiplied;
+the lattice cells (d1 + r, d2 + r) onwards, where (d1, d2) is the term's
+first lattice cell.  A window whose third factor is all zero is *dead*
+(read off the anti-diagonals by a running count of their nonzeros): it
+reads one block of zeros, and no table cell.  The table covers only the
+bounding box of the live windows' cells, on equal axes the union of its row
+and column ranges, so that the mirror applies; its size follows the NLI
+footprint, not the span of the grid.  A table cell is filled if and only if
+some live window of some term reads it (or, on equal axes, its transpose)
+against a nonzero third factor; for rectangular spectra this is the GN
+model's lozenge-shaped domain.  Every other cell stays 0.  The bits cannot
+change:
+* a cell that is not evaluated, and a dead window's block, is read only
+  against a third factor c of exactly +0 or -0, so each of its products c*w
+  is 0 with the sign of c, whatever finite w >= 0 holds, and every sum
+  keeps its bits; a cell that no point reads is never multiplied;
 * eta of an array is elementwise to the bit at any array length
   (``normalized_kernel_grid``), so the cells that are evaluated keep
   theirs.  When the axes are equal (every SPM table, and every shared
@@ -107,9 +116,9 @@ domain.  Every other cell stays 0.  The bits cannot change:
   evaluated and the values are mirrored.  The cells are first closed under
   transposition: an XPolM window is not symmetric, and the mirror fills
   its cells below the diagonal only from their transposes;
-* the cells are marked once per table, one byte each, and evaluated one
-  row block of at most one point's grid at a time, so memory stays within
-  a small multiple of the per-point integrand;
+* the cells are marked once per table, one byte each over the live box,
+  and evaluated one row block of at most one point's grid at a time, so
+  memory stays within a small multiple of the live box;
 * on a dispersion-free link (``KernelModel.flat``) eta is one constant: it
   is evaluated at one product and broadcast, and no table is evaluated.
 """
@@ -218,8 +227,6 @@ class NliPsdResult:
         return self.p0_w * self.phi_nl**2 * self.total
 
 
-# a run's |eta|^2 table holds at most this many times one point's n1*n2 grid
-_TABLE_GROWTH = 2
 # a shift is a whole number of cells when within this fraction of a cell
 _WHOLE_CELL_TOL = 1e-9
 
@@ -289,25 +296,20 @@ def _runs(grid: np.ndarray, axes) -> list:
     """Split the grid into runs of consecutive points on one cell lattice.
 
     On axes of one cell width, a point joins the current run when its shift
-    from the run's first point is a whole number of cells and the run's
-    table, n1 plus the spread of the shifts by n2 plus that spread, stays
-    within _TABLE_GROWTH * n1 * n2; on axes of unequal widths each point is
-    a run of its own.  Returns (indices, shifts) per run, shifts in cells
-    from the run's first point.
+    from the run's first point is a whole number of cells; on axes of
+    unequal widths each point is a run of its own.  Returns (indices, shifts)
+    per run, shifts in cells from the run's first point.
     """
-    (_, h1, off1), (_, h2, off2) = axes
-    n1, n2 = off1.size, off2.size
+    (_, h1, _), (_, h2, _) = axes
     runs = []
     for k in range(grid.size):
         if runs and h1 == h2:
             idx, shifts = runs[-1]
             c = _whole_cells(grid[k] - grid[idx[0]], h1)
             if c is not None:
-                spread = max(max(shifts), c) - min(min(shifts), c)
-                if (n1 + spread) * (n2 + spread) <= _TABLE_GROWTH * n1 * n2:
-                    idx.append(k)
-                    shifts.append(c)
-                    continue
+                idx.append(k)
+                shifts.append(c)
+                continue
         runs.append(([k], [0]))
     return runs
 
@@ -334,12 +336,14 @@ def _tables(terms) -> list:
     return [(term.axes, [term]) for term in terms]
 
 
-def _eta2_table(kernel, lat1, lat2, starts, patterns, block_size):
+def _eta2_table(kernel, lat1, lat2, patterns, block_size):
     """|eta(f1 f2)|^2 on the lattice lat1 x lat2 where some window reads a
-    nonzero third factor, 0 elsewhere.  Each entry ((d1, d2), n1, nonzero) of
-    ``patterns`` holds one term's first table cell, its window height and
-    where its third factor is nonzero; the window that starts at r in
-    ``starts`` reads nonzero[r:r + n1] at table cells (d1 + r, d2 + r)
+    nonzero third factor, 0 elsewhere.  The lattice is the box of the live
+    windows' cells, so the table follows the NLI footprint, not the span of
+    the run.  Each entry ((d1, d2), starts, n1, nonzero) of ``patterns``
+    holds one term's first table cell, the starts of its live windows, its
+    window height and where its third factor is nonzero; the window that
+    starts at r reads nonzero[r:r + n1] at table cells (d1 + r, d2 + r)
     onwards.  The table is filled as the module docstring describes:
     broadcast constant, or in row blocks of at most ``block_size`` cells;
     when the axes are equal, the cells are closed under transposition and
@@ -349,7 +353,7 @@ def _eta2_table(kernel, lat1, lat2, starts, patterns, block_size):
         eta = normalized_kernel_grid(kernel, lat1[:1] * lat2[:1])
         return np.broadcast_to(eta.real**2 + eta.imag**2, shape)
     cells = np.zeros(shape, dtype=bool)
-    for (d1, d2), n1, nonzero in patterns:
+    for (d1, d2), starts, n1, nonzero in patterns:
         n2 = nonzero.shape[1]
         for r in starts:
             cells[d1 + r:d1 + r + n1, d2 + r:d2 + r + n2] |= nonzero[r:r + n1]
@@ -358,7 +362,7 @@ def _eta2_table(kernel, lat1, lat2, starts, patterns, block_size):
         cells |= cells.T
         cells = np.triu(cells)
     table = np.zeros(shape)
-    block = max(1, block_size // lat2.size)
+    block = max(1, block_size // max(1, lat2.size))
     for r in range(0, lat1.size, block):
         band = cells[r:r + block]
         eta = normalized_kernel_grid(kernel, (lat1[r:r + block, None] * lat2)[band])
@@ -383,7 +387,9 @@ class _Term(NamedTuple):
 
 def _integrate_run(kernel, axes, terms, grid, run) -> list:
     """Each term's integral at every point f of one run, from one |eta|^2
-    table on the run's lattice; ``axes`` are the table's cell axes."""
+    table on the run's lattice; ``axes`` are the table's cell axes.  The
+    table covers only the box of the live windows, those that read a
+    nonzero third factor; a dead window reads a block of zeros."""
     rows, cols = (off.size for _, _, off in axes)
     idx, shifts = run
     f0 = float(grid[idx[0]])
@@ -400,31 +406,51 @@ def _integrate_run(kernel, axes, terms, grid, run) -> list:
     thirds, patterns = [], []
     for term in terms:
         (lo1, h1, off1), (lo2, h2, off2) = term.axes
+        n1, n2 = off1.size, off2.size
         if h1 == h2:
             # cell (i, j) of the point shifted by c cells sits at f + f1 + f2 =
             # lo1 + lo2 - f0 + (i + j + 1 - c) h: the run's anti-diagonals,
-            # read through their Hankel view
+            # read through their Hankel view; the window that starts at r
+            # reads anti-diagonals r .. r + n1 + n2 - 2
             diagonals = term.third.evaluate((lo1 + lo2 - f0) + (
-                np.arange(off1.size + off2.size - 1 + spread) + 1 - top) * h1)
-            third, nonzero = (sliding_window_view(v, off2.size)
-                              for v in (diagonals, diagonals != 0))
+                np.arange(n1 + n2 - 1 + spread) + 1 - top) * h1)
+            nonzero = diagonals != 0
+            counts = np.concatenate(([0], np.cumsum(nonzero)))
+            live = counts[starts + n1 + n2 - 1] > counts[starts]
+            third, nonzero = (sliding_window_view(v, n2)
+                              for v in (diagonals, nonzero))
         else:
             # a run of one point: the third factor at its own f + f1 + f2
             third = term.third.evaluate(
                 f0 + ((lo1 - f0) + off1)[:, None] + ((lo2 - f0) + off2))
             nonzero = third != 0
-        thirds.append(third)
-        patterns.append((term.cells, off1.size, nonzero))
-    table = _eta2_table(kernel, lat1, lat2, starts, patterns, rows * cols)
+            live = np.array([nonzero.any()])
+        thirds.append((third, live))
+        patterns.append((term.cells, starts[live], n1, nonzero))
+    # the box of the live windows' cells; on equal axes their union, so
+    # that the mirror still applies
+    firsts = [(d1 + r.min(), d2 + r.min())
+              for (d1, d2), r, _, _ in patterns if r.size]
+    lasts = [(d1 + r.max() + n1, d2 + r.max() + nonzero.shape[1])
+             for (d1, d2), r, n1, nonzero in patterns if r.size]
+    (b1, b2), (e1, e2) = (np.min(firsts, axis=0), np.max(lasts, axis=0)) \
+        if firsts else ((0, 0), (0, 0))
+    if np.array_equal(lat1, lat2):
+        b1 = b2 = min(b1, b2)
+        e1 = e2 = max(e1, e2)
+    patterns = [((d1 - b1, d2 - b2), *rest) for (d1, d2), *rest in patterns]
+    table = _eta2_table(kernel, lat1[b1:e1], lat2[b2:e2], patterns, rows * cols)
     results = []
-    for term, third in zip(terms, thirds):
+    for term, (third, live), ((d1, d2), *_) in zip(terms, thirds, patterns):
         (_, h1, off1), (_, h2, off2) = term.axes
-        (a, b), (d1, d2) = term.factors, term.cells
+        a, b = term.factors
         n1, n2 = off1.size, off2.size
+        dead = np.zeros((n1, n2))
         results.append(np.array([
-            h1 * h2 * (a @ ((third[r:r + n1] * table[d1 + r:d1 + r + n1,
-                                                     d2 + r:d2 + r + n2]) @ b))
-            for r in starts]))
+            h1 * h2 * (a @ ((third[r:r + n1] * (
+                table[d1 + r:d1 + r + n1, d2 + r:d2 + r + n2] if alive
+                else dead)) @ b))
+            for r, alive in zip(starts, live)]))
     return results
 
 

@@ -158,16 +158,16 @@ class TestIndependentReassembly:
         result = nli_psd_x(self.request([0.0, 0.7e9, -1.3e9]))
         self.assert_terms_match(result, self.gx, self.gy)
 
-    def test_whole_cell_grid_split_into_several_runs(self):
+    def test_whole_cell_grid_is_one_run(self):
         # rectangles on 0.25 GHz cells (24 and 16 of them) and a grid on the
-        # same step: every shift is whole, so only the 2x table cap ends runs
+        # same step: every shift is whole, so the 25 points are one run,
+        # whose shifts span as many cells as X's support
         gx = RectangularPsd(center_hz=0.5e9, bandwidth_hz=6e9, height=1.2)
         psd = DualPolPsd(gx=gx, gy=self.gy, p0_w=2e-3)
         grid = -3e9 + self.step * np.arange(25)
         for shapes in ((gx, gx), (gx, self.gy)):
             axes = [_cell_axis(shape, self.step) for shape in shapes]
-            runs = _runs(grid, axes)
-            assert len(runs) >= 3 and all(len(idx) > 1 for idx, _ in runs)
+            assert _runs(grid, axes) == [(list(range(25)), list(range(25)))]
         result = nli_psd_x(GnRequest(psd=psd, kernel=self.kernel,
                                      output_grid_hz=grid,
                                      inner_grid_step_hz=self.step))
@@ -285,12 +285,11 @@ class TestEngineContracts:
             self.request(inner_grid_step_hz=0.0)
 
 
-def deduplicated_row_block_table(kernel, lat1, lat2, starts, patterns,
-                                 block_size):
+def deduplicated_row_block_table(kernel, lat1, lat2, patterns, block_size):
     """The |eta|^2 table fill the engine replaced: row blocks of at most
     ``block_size`` elements, each deduplicated through ``np.unique``, with
-    no band (``starts`` and ``patterns`` are not read), no triangle and no
-    dispersion-free shortcut."""
+    no band (``patterns`` is not read), no triangle and no dispersion-free
+    shortcut."""
     table = np.empty((lat1.size, lat2.size))
     block = max(1, block_size // lat2.size)
     for r in range(0, lat1.size, block):
@@ -449,7 +448,10 @@ class TestTableFillBitContract:
         # evaluates from the term's axes as _integrate_run does: on the
         # run's anti-diagonals when both cell widths are equal, else at the
         # point's own f + f1 + f2.  The read cells are closed under
-        # transposition when the table's axes are equal.
+        # transposition when the table's axes are equal.  The table is the
+        # box of the windows that read some nonzero third factor (on equal
+        # axes, the union of its row and column ranges); each term's first
+        # cell in that box is the one the engine passes with its windows.
         if req.kernel.flat:
             return
         runs, tables = [], []
@@ -458,9 +460,11 @@ class TestTableFillBitContract:
             runs.append((terms, grid, run))
             return integrate_run(kernel, axes, terms, grid, run)
 
-        def recording_table(kernel, lat1, lat2, *args):
-            tables.append((lat1, lat2, eta2_table(kernel, lat1, lat2, *args)))
-            return tables[-1][2]
+        def recording_table(kernel, lat1, lat2, patterns, *args):
+            table = eta2_table(kernel, lat1, lat2, patterns, *args)
+            tables.append((lat1, lat2, [cells for cells, *_ in patterns],
+                           table))
+            return table
 
         integrate_run, eta2_table = gn._integrate_run, gn._eta2_table
         with mock.patch.object(gn, "_integrate_run", recording_run), \
@@ -469,14 +473,14 @@ class TestTableFillBitContract:
                                   lambda kernel, F: np.ones(F.shape)):
             nli_psd_x(req)
         assert len(runs) == len(tables) > 0
-        for (terms, grid, run), (lat1, lat2, table) in zip(runs, tables):
+        for (terms, grid, run), (lat1, lat2, cells, table) in zip(runs, tables):
             idx, shifts = run
             top = max(shifts)
             f0 = float(grid[idx[0]])
             read = np.zeros(table.shape, dtype=bool)
-            for term in terms:
+            live = []
+            for term, (d1, d2) in zip(terms, cells):
                 (lo1, h1, off1), (lo2, h2, off2) = term.axes
-                d1, d2 = term.cells
                 for k, shift in zip(idx, shifts):
                     if h1 == h2:
                         diagonal = np.arange(off1.size)[:, None] \
@@ -487,48 +491,74 @@ class TestTableFillBitContract:
                         f = float(grid[k])
                         c = term.third.evaluate(f + ((lo1 - f) + off1)[:, None]
                                                 + ((lo2 - f) + off2))
+                    if not np.any(c):
+                        continue
                     r = top - shift
+                    live.append((d1 + r, d2 + r, d1 + r + off1.size,
+                                 d2 + r + off2.size))
+                    assert min(live[-1]) >= 0
                     window = read[d1 + r:d1 + r + off1.size,
                                   d2 + r:d2 + r + off2.size]
                     assert window.shape == c.shape
                     window |= c != 0
-            if np.array_equal(lat1, lat2):
+            symmetric = np.array_equal(lat1, lat2)
+            if symmetric:
                 read |= read.T
             np.testing.assert_array_equal(table != 0, read)
+            if not live:
+                assert table.size == 0
+                continue
+            first, end = np.min(live, axis=0)[:2], np.max(live, axis=0)[2:]
+            if symmetric:
+                first[:], end[:] = first.min(), end.max()
+            assert tuple(first) == (0, 0) and tuple(end) == table.shape
 
-    def test_runs_that_read_only_zero_third_factors_evaluate_nothing(self):
+    def test_windows_that_read_only_zero_third_factors_evaluate_nothing(self):
         # X rectangular on [-2, 2] GHz; Y tabulated on [-8, 8] GHz, on X's
         # 250 MHz lattice, 0 at -8 and -4 GHz and from -1 GHz up.  At f = -9
         # and -8.75 GHz every cell that a window reads has f + f1 + f2 above
-        # X's support and at or above -1 GHz, so both terms are +0 and their
-        # run evaluates no kernel product (470 on the band of the supports
-        # widened by a cell); at 7-7.5 GHz SPM is +0 and XPolM reads Y's
-        # nonzero part
+        # X's support and at or above -1 GHz, so both terms are +0: the two
+        # points join the run of the others, on the same lattice, but add no
+        # kernel product and no table row or column (in a run of their own
+        # they took 470 products on the band of the supports widened by a
+        # cell); at 7-7.5 GHz SPM is +0 and XPolM reads Y's nonzero part.
+        # The grid took 848 products in three runs
         gx = RectangularPsd(0.0, 4e9, 1.0)
         gy = TabulatedPsd(np.array([-8, -6, -4, -2, -1, 8]) * 1e9,
                           np.array([0, 1, 0, 1, 0, 0.0]))
         kernel = KernelModel(link=LINKS["single"])
         grid = np.array([-9, -8.75, 0, 7, 7.25, 7.5]) * 1e9
-        req = GnRequest(psd=DualPolPsd(gx, gy, 1e-3), kernel=kernel,
-                        output_grid_hz=grid, inner_grid_step_hz=0.25e9)
-        products, counted = {}, []
 
-        def recording_run(kernel, axes, terms, grid, run):
-            counted.clear()
-            values = integrate_run(kernel, axes, terms, grid, run)
-            products[tuple(run[0])] = sum(counted)
-            return values
+        def request(grid):
+            return GnRequest(psd=DualPolPsd(gx, gy, 1e-3), kernel=kernel,
+                             output_grid_hz=grid, inner_grid_step_hz=0.25e9)
 
-        def counting(kernel, F):
-            counted.append(np.size(F))
-            return normalized_kernel_grid(kernel, F)
+        def counted_psd(grid):
+            """The result, kernel products and table shapes of one grid."""
+            counted, shapes = [], []
 
-        integrate_run = gn._integrate_run
-        with mock.patch.object(gn, "_integrate_run", recording_run), \
-                mock.patch.object(gn, "normalized_kernel_grid", counting):
-            result = nli_psd_x(req)
-        assert products[0, 1] == 0
-        assert 0 < products[3, 4, 5] <= 410
+            def counting(kernel, F):
+                counted.append(np.size(F))
+                return normalized_kernel_grid(kernel, F)
+
+            def recording_table(kernel, lat1, lat2, *args):
+                shapes.append((lat1.size, lat2.size))
+                return eta2_table(kernel, lat1, lat2, *args)
+
+            with mock.patch.object(gn, "normalized_kernel_grid", counting), \
+                    mock.patch.object(gn, "_eta2_table", recording_table):
+                return nli_psd_x(request(grid)), sum(counted), shapes
+
+        eta2_table = gn._eta2_table
+        result, products, shapes = counted_psd(grid)
+        inner, inner_products, inner_shapes = counted_psd(grid[2:])
+        assert len(shapes) == 1
+        assert 0 < products == inner_products <= 848
+        assert shapes == inner_shapes
+        for name in ("spm", "xpolm"):
+            np.testing.assert_array_equal(getattr(result, name)[2:],
+                                          getattr(inner, name))
+        req = request(grid)
         outer = [0, 1, 3, 4, 5]
         assert np.all(result.spm[outer] == 0.0)
         assert not np.any(np.signbit(result.spm[outer]))
@@ -542,6 +572,47 @@ class TestTableFillBitContract:
             reference = nli_psd_x(req)
         np.testing.assert_array_equal(result.spm, reference.spm)
         np.testing.assert_array_equal(result.xpolm, reference.xpolm)
+
+
+class TestTableFootprint:
+    """A run's table covers the box of the windows that read a nonzero third
+    factor, not the span of its points.  The demo rectangles on 250 MHz
+    cells (X 124, Y 84 of them) are nonzero in SPM for |f| < 46.5 GHz and
+    in XPolM for |f| < 36.5 GHz; a 0.5 GHz grid over +-100 GHz is one run
+    whose points shift by 800 cells, and cut to +-50 GHz by 400.  Either
+    run's lattice spans 124 cells more than its shifts, but both tables
+    are the 492 x 492 box of the points within 46.5 GHz."""
+
+    def test_table_space_follows_the_nli_footprint(self):
+        psd = DualPolPsd(RectangularPsd(0.0, 31e9, 1.0),
+                         RectangularPsd(0.0, 21e9, 0.6), 1e-3)
+        kernel = KernelModel(link=LINKS["single"])
+        wide = np.linspace(-100e9, 100e9, 401)
+
+        def tabled(grid):
+            """The result and the lattice sizes of each table."""
+            sizes = []
+
+            def recording_table(kernel, lat1, lat2, *args):
+                sizes.append((lat1.size, lat2.size))
+                return eta2_table(kernel, lat1, lat2, *args)
+
+            with mock.patch.object(gn, "_eta2_table", recording_table):
+                return nli_psd_x(GnRequest(
+                    psd=psd, kernel=kernel, output_grid_hz=grid,
+                    inner_grid_step_hz=0.25e9)), sizes
+
+        eta2_table = gn._eta2_table
+        result, sizes = tabled(wide)
+        inner, inner_sizes = tabled(wide[100:301])
+        assert len(sizes) == 1 and sizes == inner_sizes
+        for name in ("spm", "xpolm", "total"):
+            np.testing.assert_array_equal(getattr(result, name)[100:301],
+                                          getattr(inner, name))
+        outer = np.r_[0:100, 301:401]
+        for name in ("spm", "xpolm"):
+            values = getattr(result, name)[outer]
+            assert np.all(values == 0.0) and not np.any(np.signbit(values))
 
 
 class TestPowerScaling:
@@ -620,27 +691,29 @@ class TestWorkCount:
     on X's lattice), 30,697 with each row filled on the hull of its cells
     that windows read as nonzero (the band widened by one cell took
     31,438), 30,680 on the cells that some window reads against a nonzero
-    third factor; a fill that evaluates other cells, or a table per term,
-    fails.  The GN prediction of the demo ``montecarlo``: 353,857 products
-    in 11 tables with a table per term, 154,738 in 5 shared ones, 145,644
-    on the row hulls of the nonzero read cells, 144,784 on those cells, all
-    at step f0/8; 2,314 in 5 tables as the exact mean on line-centred
-    cells of width f0.
+    third factor, 17,286 in 1 table once a run is no longer cut at twice
+    one point's grid (44 % of the 4 runs' products were repeats); a fill
+    that evaluates other cells, a table per term or a run cap fails.  The
+    GN prediction of the demo ``montecarlo``: 353,857 products in 11 tables
+    with a table per term, 154,738 in 5 shared ones, 145,644 on the row
+    hulls of the nonzero read cells, 144,784 on those cells, all at step
+    f0/8; 2,314 in 5 tables as the exact mean on line-centred cells of
+    width f0, 1,328 in 1 without the run cap.
     The 3-span raised-cosine request: 162 one-point tables and 891,693
     products on support-aligned cells of 248.4 MHz, 8 tables and 87,758
     products on cells of the 250 MHz step, 78,465 on the read band cells,
     76,365 on the row hulls of the nonzero read cells, 76,303 on those
-    cells; an axis whose cells the 0.5 GHz output spacing does not divide
-    fails.
+    cells, 43,905 in 2 tables without the run cap; an axis whose cells the
+    0.5 GHz output spacing does not divide fails.
     Its X and Y supports start 13.6 cells apart, so each term keeps its own
     tables."""
 
     DEMO = Path(__file__).resolve().parent.parent / "demos" / "single_span.yaml"
-    DEMO_PSD_PRODUCTS = 30_680
-    DEMO_PSD_TABLES = 4
-    DEMO_MONTECARLO_PRODUCTS = 2_314
-    RC_PSD_PRODUCTS = 76_303
-    RC_PSD_TABLES = 8
+    DEMO_PSD_PRODUCTS = 17_286
+    DEMO_PSD_TABLES = 1
+    DEMO_MONTECARLO_PRODUCTS = 1_328
+    RC_PSD_PRODUCTS = 43_905
+    RC_PSD_TABLES = 2
 
     def count(self, config, tmp_path, *argv):
         """(products, tables) of one run of the config; ``psd`` by default."""
